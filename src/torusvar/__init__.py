@@ -42,7 +42,6 @@ from .h_calculus import (
     grad_h_squared,
     k_as_hpoly,
     laplacian_h,
-    laplacian_h_pow,
     laplacian_poly,
 )
 from .shape_equation import (
@@ -50,7 +49,6 @@ from .shape_equation import (
     Lagrangian,
     ResidualSystem,
     el_residual,
-    el_residual_numeric,
     el_system,
     helfrich_lagrangian,
     sphere_residual,
@@ -86,7 +84,6 @@ __all__ = [
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
-    "laplacian_h_pow",
     "laplacian_pow_leading_coeffs",
     "laplacian_poly",
     "divbar_h",
@@ -99,7 +96,6 @@ __all__ = [
     "ResidualSystem",
     "el_system",
     "el_residual",
-    "el_residual_numeric",
     "sphere_residual",
     "SolutionReport",
     "DegeneracyInfo",

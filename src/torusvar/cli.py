@@ -130,7 +130,7 @@ def _emit(payload: dict, text: str, args) -> None:
         sys.stdout.write(body)
 
 
-def _base_payload(command: str, args, **inputs) -> dict:
+def _base_payload(command: str, **inputs) -> dict:
     return {
         "command": command,
         "inputs": inputs,
@@ -141,6 +141,19 @@ def _base_payload(command: str, args, **inputs) -> dict:
         "residuals": None,
         "version": __version__,
     }
+
+
+def _check_grid(args) -> None:
+    """Reject a --grid the spectral oracles cannot use: odd or below 16
+    points; second-variation also evaluates at grid/2, so it needs 32."""
+    if args.grid is None:
+        return
+    if args.command == "second-variation":
+        minimum, reason = 32, " (second-variation also evaluates at grid/2)"
+    else:
+        minimum, reason = 16, ""
+    if args.grid < minimum or args.grid % 2:
+        raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
 
 
 def _solve_from_args(args) -> SolutionReport:
@@ -176,7 +189,6 @@ def cmd_solve(args) -> int:
         )
     payload = _base_payload(
         "solve",
-        args,
         degree=args.degree,
         r=args.r,
         a2=args.a2,
@@ -220,7 +232,6 @@ def cmd_verify(args) -> int:
     )
     payload = _base_payload(
         "verify",
-        args,
         degree=args.degree,
         r=args.r,
         a2=args.a2,
@@ -277,7 +288,6 @@ def cmd_energy(args) -> int:
     )
     payload = _base_payload(
         "energy",
-        args,
         degree=args.degree,
         r=args.r,
         a2=format_fraction(a2),
@@ -312,7 +322,7 @@ def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
     for k in range(2, 7):
         grid_k = SurfaceGrid(h**k)
         checks.append(
-            (f"laplacian(H^{k})", compare(h_calculus.laplacian_h_pow(torus, k), torus_geometry.lb_numeric(shape, grid_k).values))
+            (f"laplacian(H^{k})", compare(h_calculus.laplacian_poly(torus, HPoly.monomial(k)), torus_geometry.lb_numeric(shape, grid_k).values))
         )
     checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), torus_geometry.divbar_numeric(shape, h_grid).values)))
     k_vals = torus_geometry.curvatures(shape, u)[1]
@@ -342,7 +352,7 @@ def cmd_identities(args) -> int:
         worst = max(worst, err)
         lines.append(f"{name:<18} {_fmt_float(err):<12} {status}")
     payload = _base_payload(
-        "identities", args, a2=args.a2, r=args.r, grid=args.grid
+        "identities", a2=args.a2, r=args.r, grid=args.grid
     )
     payload["residuals"] = {
         "exact": False,
@@ -372,7 +382,7 @@ def cmd_scan(args) -> int:
     for rho, value in rows:
         lines.append(f"{format_fraction(rho):<12} {_fmt_float(value)}")
     payload = _base_payload(
-        "scan", args, degree=args.degree, r=args.r, grid=args.grid
+        "scan", degree=args.degree, r=args.r, grid=args.grid
     )
     payload["scan"] = [
         {"ratio": format_fraction(rho), "energy": float(_fmt_float(v))} for rho, v in rows
@@ -418,7 +428,6 @@ def cmd_second_variation(args) -> int:
     )
     payload = _base_payload(
         "second-variation",
-        args,
         degree=args.degree,
         r=args.r,
         ratio=format_fraction(ratio),
@@ -495,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_grid(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"torusvar: error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ rank allows it and reported families match a fixed convention.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence
 from . import shape_equation
 from .exact_algebra import LinearForm, solve_linear_system
 from .h_calculus import ExactTorus
-from .shape_equation import Lagrangian, el_residual
+from .shape_equation import Lagrangian, ResidualSystem, el_residual
 from .torus_geometry import DEFAULT_GRID
 
 __all__ = [
@@ -197,13 +196,11 @@ def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction
 def _solve_fixed(
     n: int,
     kterms: Sequence[tuple[int, int]],
-    a2: Fraction,
+    system: ResidualSystem,
+    a2: Fraction | None,
     r: Fraction,
     constraint: Fraction | None,
 ) -> SolutionReport:
-    lagrangian = family_lagrangian(n, kterms)
-    torus = ExactTorus(a2, r)
-    system = shape_equation.el_system(torus, lagrangian)
     unknowns = list(system.unknowns)
     order = _pivot_order(n, len(kterms))
     row_powers = [i for i, _ in system.nonzero_rows()]
@@ -250,64 +247,78 @@ def _solve_fixed(
     )
 
 
-def _top_row_constraint(
-    n: int, r: Fraction, kterms: Sequence[tuple[int, int]]
-) -> Fraction | None:
-    """Extract the aspect ratio forced by the H^(n+1) row, if any.
+@dataclass(frozen=True)
+class _RadiusAffine:
+    """A family's residual rows at fixed r, written as U + V / a^2.
 
-    Each row coefficient has the form u + v / a^2 with u, v rational in r,
-    so sampling the row at two probe values of a^2 determines it exactly and
-    its unique root gives the constraint.  Returns None when the row vanishes
-    identically (no restriction on the radii).
+    Every row coefficient is affine in 1/a^2, so the assemblies at two probe
+    values of a^2 determine U and V exactly.
     """
-    lagrangian = family_lagrangian(n, kterms)
-    samples = []
-    for probe in (3, 7):
-        torus = ExactTorus(Fraction(probe) * r * r, r)
-        row = shape_equation.el_system(torus, lagrangian).row(n + 1)
-        extra = set(row.terms) - {"a1"}
+
+    u: ResidualSystem
+    v: ResidualSystem
+
+    @staticmethod
+    def read(lagrangian: Lagrangian, r: Fraction) -> "_RadiusAffine":
+        s1, s2 = 3 * r * r, 7 * r * r
+        first = shape_equation.el_system(ExactTorus(s1, r), lagrangian)
+        second = shape_equation.el_system(ExactTorus(s2, r), lagrangian)
+        powers = range(max(len(first.rows), len(second.rows)))
+        slope = 1 / (1 / s1 - 1 / s2)
+        v = [(first.row(i) + second.row(i).scale(-1)).scale(slope) for i in powers]
+        u = [first.row(i) + v[i].scale(-1 / s1) for i in powers]
+        return _RadiusAffine(
+            ResidualSystem(first.unknowns, tuple(u)), ResidualSystem(first.unknowns, tuple(v))
+        )
+
+    def at(self, a2: Fraction) -> ResidualSystem:
+        rows = (u + v.scale(1 / a2) for u, v in zip(self.u.rows, self.v.rows))
+        return ResidualSystem(self.u.unknowns, tuple(rows))
+
+    def constraint(self, power: int, r: Fraction) -> Fraction | None:
+        """The aspect ratio at which row ``power`` vanishes, if it involves a1
+        alone; None when the row vanishes identically (no restriction on the
+        radii)."""
+        u_row, v_row = self.u.row(power), self.v.row(power)
+        extra = (set(u_row.terms) | set(v_row.terms)) - {"a1"}
         if extra:
             raise ValueError(
                 "no pure radius constraint: the top residual row also involves "
                 + ", ".join(sorted(extra))
             )
-        samples.append((Fraction(probe) * r * r, row.coefficient("a1")))
-    (s1, c1), (s2, c2) = samples
-    v = (c1 - c2) / (Fraction(1) / s1 - Fraction(1) / s2)
-    u = c1 - v / s1
-    if u == 0 and v == 0:
-        return None
-    if u == 0:
-        raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
-    a2_root = -v / u
-    ratio = a2_root / (r * r)
-    if ratio <= 1:
-        raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
-    return ratio
+        u, v = u_row.coefficient("a1"), v_row.coefficient("a1")
+        if u == 0 and v == 0:
+            return None
+        if u == 0:
+            raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
+        ratio = -v / u / (r * r)
+        if ratio <= 1:
+            raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
+        return ratio
 
 
 def solve_pure_h(n: int, r) -> SolutionReport:
     """Critical family of the degree-n pure-H Lagrangian.
 
-    For n >= 2 the aspect ratio is read off the top residual row before the
-    remaining rows are solved; for n = 1 there is no restriction on the radii
-    and the family is radius-independent (checked against two probe ratios).
+    For n >= 2 the aspect ratio is the root of the top residual row, read
+    from the system's affine form in 1/a^2, and the remaining rows are solved
+    at that ratio; for n = 1 the 1/a^2 part vanishes, so there is no
+    restriction on the radii and the family is radius-independent.
     """
     if n < 1:
         raise ValueError("polynomial degree must be >= 1")
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
+    affine = _RadiusAffine.read(family_lagrangian(n), r)
     if n == 1:
-        first = _solve_fixed(1, (), Fraction(3) * r * r, r, None)
-        second = _solve_fixed(1, (), Fraction(7, 2) * r * r, r, None)
-        if first.assignments != second.assignments:
+        if affine.v.nonzero_rows():
             raise AssertionError("degree-1 family unexpectedly depends on the radii")
-        return dataclasses.replace(first, a2=None)
-    ratio = _top_row_constraint(n, r, ())
+        return _solve_fixed(1, (), affine.u, None, r, None)
+    ratio = affine.constraint(n + 1, r)
     if ratio is None:
         raise AssertionError(f"degree {n} >= 2 must force a radius constraint")
-    return _solve_fixed(n, (), ratio * r * r, r, ratio)
+    return _solve_fixed(n, (), affine.at(ratio * r * r), ratio * r * r, r, ratio)
 
 
 def solve_with_gauss(
@@ -331,15 +342,18 @@ def solve_with_gauss(
     terms = tuple(kterms) if kterms is not None else default_kterms(n)
     if not terms:
         raise ValueError("term set must be nonempty; use solve_pure_h instead")
+    lagrangian = family_lagrangian(n, terms)
     if a2 is not None:
         a2 = Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
-        return _solve_fixed(n, terms, a2, r, None)
-    ratio = _top_row_constraint(n, r, terms)
+        system = shape_equation.el_system(ExactTorus(a2, r), lagrangian)
+        return _solve_fixed(n, terms, system, a2, r, None)
+    affine = _RadiusAffine.read(lagrangian, r)
+    ratio = affine.constraint(n + 1, r)
     if ratio is None:
         raise ValueError("top row vanishes identically; provide a2 explicitly")
-    return _solve_fixed(n, terms, ratio * r * r, r, ratio)
+    return _solve_fixed(n, terms, affine.at(ratio * r * r), ratio * r * r, r, ratio)
 
 
 def solve_lagrangian(t: ExactTorus, lagrangian: Lagrangian) -> "GenericSolution":

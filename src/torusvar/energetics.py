@@ -195,20 +195,15 @@ def second_variation(
     omega: Perturbation,
     n: int = DEFAULT_GRID,
     v_mode: int = 0,
-    tilde_operator: str = "bar",
 ) -> float:
     """Quadratic form of the second variation at an H-only Lagrangian.
 
     The perturbation is omega(u) * cos(v_mode * v); the default v_mode = 0 is
-    the axisymmetric case.  ``tilde_operator`` selects the reading of the
-    tilde-marked first-order operator in the cross terms: "bar" (default)
-    pairs gradients through K times the inverse second fundamental form,
-    "grad" through the metric alone.  No result in the test suite depends on
-    this choice; it is exposed because both readings are defensible.
-    ``pressure`` is the multiplier of -V, as in :func:`curvature_energy`.
+    the axisymmetric case.  The tilde-marked first-order operator in the
+    cross terms pairs gradients through K times the inverse second
+    fundamental form, as div_bar does.  ``pressure`` is the multiplier of
+    -V, as in :func:`curvature_energy`.
     """
-    if tilde_operator not in ("bar", "grad"):
-        raise ValueError("tilde_operator must be 'bar' or 'grad'")
     if v_mode < 0:
         raise ValueError("v_mode must be nonnegative")
     e, e1, e2 = _lagrangian_h_profile(lagrangian)
@@ -235,12 +230,8 @@ def second_variation(
     m2 = float(v_mode * v_mode)
 
     lap_f = lb_numeric(t, SurfaceGrid(f, hint)).values - m2 * g_vv * f
-    if tilde_operator == "bar":
-        div_tilde_f = divbar_numeric(t, SurfaceGrid(f, hint)).values - m2 * k_h_vv * f
-        grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
-    else:
-        div_tilde_f = lap_f
-        grad_f_tilde_f = g_uu * df**2 + m2 * g_vv * f**2
+    div_tilde_f = divbar_numeric(t, SurfaceGrid(f, hint)).values - m2 * k_h_vv * f
+    grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
     grad_hf_grad_f = g_uu * spectral_derivative(h * f) * df + m2 * g_vv * h * f**2
 
     integrand = (

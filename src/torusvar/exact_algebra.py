@@ -251,6 +251,15 @@ class LinearSolution:
     offending_rows: tuple[int, ...] = ()
 
 
+def _cleared(vec: Sequence[Fraction]) -> list[int]:
+    """The integer multiple of a nonzero rational vector whose entries are
+    coprime, with the sign of ``vec``."""
+    denom = lcm(*(v.denominator for v in vec))
+    ints = [int(v * denom) for v in vec]
+    common = gcd(*ints)
+    return [v // common for v in ints]
+
+
 def _integer_rows(
     rows: Sequence[LinearForm], unknowns: Sequence[str]
 ) -> list[tuple[int, list[int]]]:
@@ -259,12 +268,7 @@ def _integer_rows(
         vec = [form.coefficient(u) for u in unknowns] + [form.constant]
         if all(v == 0 for v in vec):
             continue
-        denom = lcm(*(v.denominator for v in vec))
-        ints = [int(v * denom) for v in vec]
-        common = 0
-        for v in ints:
-            common = gcd(common, abs(v))
-        cleared.append((idx, [v // common for v in ints]))
+        cleared.append((idx, _cleared(vec)))
     return cleared
 
 
@@ -363,13 +367,7 @@ def nullspace(
                 vec.append(sol.assignments[u].coefficient(f))
             else:
                 vec.append(Fraction(0))
-        denom = lcm(*(v.denominator for v in vec))
-        ints = [int(v * denom) for v in vec]
-        common = 0
-        for v in ints:
-            common = gcd(common, abs(v))
-        if common:
-            ints = [v // common for v in ints]
+        ints = _cleared(vec)
         lead = next((v for v in ints if v != 0), 1)
         if lead < 0:
             ints = [-v for v in ints]

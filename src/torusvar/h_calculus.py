@@ -33,7 +33,6 @@ __all__ = [
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
-    "laplacian_h_pow",
     "laplacian_pow_leading_coeffs",
     "divbar_h",
     "divbar_k",
@@ -106,15 +105,8 @@ def grad_h_squared(t: ExactTorus) -> HPoly:
     ).scale(pre)
 
 
-def laplacian_h_pow(t: ExactTorus, n: int) -> HPoly:
-    """Laplace-Beltrami of H**n via the chain rule, degree n + 2."""
-    if n < 1:
-        raise ValueError("power must be a positive integer")
-    return laplacian_poly(t, HPoly.monomial(n))
-
-
 def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fraction]:
-    """The two leading coefficients of laplacian_h_pow(t, n) in closed form.
+    """The two leading coefficients of laplacian_poly(t, H**n) in closed form.
 
     For n >= 2:  [H^(n+2)] = 4 n^2 (r^2 - a^2) / a^2  and
     [H^(n+1)] = 2 ((6 n^2 - n) a^2 - (8 n^2 - 2 n) r^2) / (a^2 r).

@@ -40,7 +40,7 @@ __all__ = [
     "ResidualSystem",
     "el_system",
     "el_residual",
-    "el_residual_numeric",
+    "el_residual_numeric_scaled",
     "sphere_residual",
 ]
 
@@ -50,12 +50,6 @@ Coefficient = Union[Fraction, int, str]
 
 def _is_unknown(c: Coefficient) -> bool:
     return isinstance(c, str)
-
-
-def _as_form(c: Coefficient) -> LinearForm:
-    if _is_unknown(c):
-        return LinearForm.variable(c)
-    return LinearForm(constant=Fraction(c))
 
 
 @dataclass(frozen=True)
@@ -196,93 +190,67 @@ class ResidualSystem:
         return HPoly.of([row.evaluate(values) for row in self.rows])
 
 
-# ---------------------------------------------------------------------------
-# linear-coefficient polynomials: a list of LinearForms indexed by H power
-# ---------------------------------------------------------------------------
-
-_LinPoly = list  # list[LinearForm]
-
-
-def _lp_trim(p: _LinPoly) -> _LinPoly:
-    while p and p[-1].is_zero:
-        p.pop()
-    return p
+def _torus_operators(t: ExactTorus) -> tuple[HPoly, ...]:
+    """K, lap H, |grad H|^2, div_bar H and the bilinear term on one torus."""
+    return (
+        h_calculus.k_as_hpoly(t),
+        h_calculus.laplacian_h(t),
+        h_calculus.grad_h_squared(t),
+        h_calculus.divbar_h(t),
+        h_calculus.divbar_bilinear(t),
+    )
 
 
-def _lp_add(p: _LinPoly, q: _LinPoly) -> _LinPoly:
-    out = []
-    for i in range(max(len(p), len(q))):
-        a = p[i] if i < len(p) else LinearForm()
-        b = q[i] if i < len(q) else LinearForm()
-        out.append(a + b)
-    return _lp_trim(out)
+def _column(operators: tuple[HPoly, ...], i: int, j: int) -> HPoly:
+    """Residual of the single density E = H^i K^j at zero pressure.
 
-
-def _lp_mul_poly(p: _LinPoly, q: HPoly) -> _LinPoly:
-    if not p or q.is_zero:
-        return []
-    out = [LinearForm() for _ in range(len(p) + q.degree)]
-    for i, form in enumerate(p):
-        if form.is_zero:
-            continue
-        for j, c in enumerate(q.coeffs):
-            if c != 0:
-                out[i + j] = out[i + j] + form.scale(c)
-    return _lp_trim(out)
-
-
-def _lp_diff(p: _LinPoly) -> _LinPoly:
-    return _lp_trim([p[i].scale(i) for i in range(1, len(p))])
-
-
-def _lp_from_poly(q: HPoly, coeff: Coefficient) -> _LinPoly:
-    form = _as_form(coeff)
-    return _lp_trim([form.scale(c) for c in q.coeffs])
-
-
-def _assemble(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
-    k_poly = h_calculus.k_as_hpoly(t)
-    lap_h = h_calculus.laplacian_h(t)
-    grad2 = h_calculus.grad_h_squared(t)
-    dbar_h = h_calculus.divbar_h(t)
-    bilinear = h_calculus.divbar_bilinear(t)
-
-    h_mono = HPoly.monomial(1)
-    phi_h: _LinPoly = []  # dE/dH restricted to the torus
-    phi_k: _LinPoly = []  # dE/dK restricted to the torus
-    density: _LinPoly = []  # E restricted to the torus
-    for (i, j), coeff in lagrangian.terms.items():
-        base = HPoly.monomial(i) * k_poly**j
-        density = _lp_add(density, _lp_from_poly(base, coeff))
-        if i >= 1:
-            dh = (HPoly.monomial(i - 1) * k_poly**j).scale(i)
-            phi_h = _lp_add(phi_h, _lp_from_poly(dh, coeff))
-        if j >= 1:
-            dk = (HPoly.monomial(i) * k_poly ** (j - 1)).scale(j)
-            phi_k = _lp_add(phi_k, _lp_from_poly(dk, coeff))
-
-    residual: _LinPoly = []
-    # (lap + 4H^2 - 2K) dE/dH, with lap expanded by the chain rule
-    residual = _lp_add(residual, _lp_mul_poly(_lp_diff(phi_h), lap_h))
-    residual = _lp_add(residual, _lp_mul_poly(_lp_diff(_lp_diff(phi_h)), grad2))
-    algebraic = HPoly.monomial(2, 4) - k_poly.scale(2)
-    residual = _lp_add(residual, _lp_mul_poly(phi_h, algebraic))
-    # 2 (div_bar + 2KH) dE/dK
-    residual = _lp_add(residual, _lp_mul_poly(_lp_diff(phi_k), dbar_h.scale(2)))
-    residual = _lp_add(residual, _lp_mul_poly(_lp_diff(_lp_diff(phi_k)), bilinear.scale(2)))
-    residual = _lp_add(residual, _lp_mul_poly(phi_k, (k_poly * h_mono).scale(4)))
-    # -4HE + 2p
-    residual = _lp_add(residual, _lp_mul_poly(density, HPoly.monomial(1, -4)))
-    residual = _lp_add(residual, [_as_form(lagrangian.pressure).scale(2)])
-
-    return ResidualSystem(unknowns=lagrangian.unknowns, rows=tuple(residual))
+    lap and div_bar of a polynomial in H expand by the chain rule
+    f'(H) op(H) + f''(H) B(H), with B = |grad H|^2 for lap and the bilinear
+    term for div_bar.
+    """
+    k_poly, lap_h, grad2, dbar_h, bilinear = operators
+    # -4HE
+    column = (HPoly.monomial(i + 1) * k_poly**j).scale(-4)
+    if i >= 1:
+        # (lap + 4H^2 - 2K) dE/dH
+        e_h = (HPoly.monomial(i - 1) * k_poly**j).scale(i)
+        d1 = e_h.derivative()
+        algebraic = HPoly.monomial(2, 4) - k_poly.scale(2)
+        column = column + d1 * lap_h + d1.derivative() * grad2 + e_h * algebraic
+    if j >= 1:
+        # 2 (div_bar + 2KH) dE/dK
+        e_k = (HPoly.monomial(i) * k_poly ** (j - 1)).scale(j)
+        d1 = e_k.derivative()
+        two_kh = (k_poly * HPoly.monomial(1)).scale(2)
+        column = column + (d1 * dbar_h + d1.derivative() * bilinear + e_k * two_kh).scale(2)
+    return column
 
 
 def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
-    """Residual rows as linear forms in the unknown coefficients and p."""
+    """Residual rows as linear forms in the unknown coefficients and p.
+
+    Each term H^i K^j contributes its coefficient times its column; the
+    pressure's column is the constant 2.
+    """
     if not lagrangian.unknowns:
         raise ValueError("el_system expects at least one unknown coefficient")
-    return _assemble(t, lagrangian)
+    operators = _torus_operators(t)
+    weighted = [(c, _column(operators, i, j)) for (i, j), c in lagrangian.terms.items()]
+    weighted.append((lagrangian.pressure, HPoly.const(2)))
+    rows = []
+    for power in range(max(len(column.coeffs) for _, column in weighted)):
+        terms: dict[str, Fraction] = {}
+        constant = Fraction(0)
+        for c, column in weighted:
+            value = column.coefficient(power)
+            if _is_unknown(c):
+                terms[c] = terms.get(c, Fraction(0)) + value
+            else:
+                constant += c * value
+        rows.append(LinearForm(terms, constant))
+    while rows and rows[-1].is_zero:
+        rows.pop()
+    return ResidualSystem(unknowns=lagrangian.unknowns, rows=tuple(rows))
 
 
 def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
@@ -292,20 +260,11 @@ def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
     zero polynomial.
     """
     lagrangian._require_numeric()
-    system = _assemble(t, lagrangian)
-    return HPoly.of([row.constant for row in system.rows])
-
-
-def el_residual_numeric(
-    t: TorusShape, lagrangian: Lagrangian, n: int = DEFAULT_GRID
-) -> np.ndarray:
-    """Residual values on the u grid using the spectral operators only.
-
-    This route never touches the closed-form operator polynomials, so it is
-    a fully independent check of :func:`el_residual`.
-    """
-    values, _ = el_residual_numeric_scaled(t, lagrangian, n)
-    return values
+    operators = _torus_operators(t)
+    residual = HPoly.const(2 * lagrangian.pressure)
+    for (i, j), c in lagrangian.terms.items():
+        residual = residual + _column(operators, i, j).scale(c)
+    return residual
 
 
 def el_residual_numeric_scaled(

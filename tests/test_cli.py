@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from torusvar.cli import main
 from torusvar.exact_algebra import parse_fraction
 from torusvar.h_calculus import ExactTorus
@@ -95,6 +97,28 @@ def test_bad_input_exit_code(capsys):
     capsys.readouterr()
     assert main(["solve", "--degree", "4", "--with-gauss", "--terms", "H2", "--r", "1"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code, minimum",
+    [
+        (["energy", "--degree", "2", "--ratio", "2", "--grid", "2"], 4, 16),
+        (["energy", "--degree", "2", "--ratio", "2", "--grid", "-4"], 4, 16),
+        (["energy", "--degree", "2", "--ratio", "2", "--grid", "0"], 4, 16),
+        (["scan", "--grid", "7"], 4, 16),
+        (["second-variation", "--degree", "2", "--grid", "16"], 4, 32),
+        (["energy", "--degree", "2", "--ratio", "2", "--grid", "16"], 0, None),
+        (["second-variation", "--degree", "2", "--grid", "32"], 0, None),
+    ],
+)
+def test_grid_is_validated_at_the_cli_boundary(capsys, argv, code, minimum):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert f"--grid must be an even integer >= {minimum}" in captured.err
 
 
 def test_json_report_round_trips_and_reverifies(tmp_path, capsys):

@@ -189,17 +189,6 @@ def test_second_variation_rejects_k_dependence():
         second_variation(t, Lagrangian({(2, 0): 1, (1, 1): 1}), 0.0, Perturbation({1: 1.0}))
 
 
-def test_second_variation_tilde_operator_options():
-    lag, rho = zero_pressure_member(2)
-    t = TorusShape.from_ratio(rho, 1)
-    omega = Perturbation({1: 1.0})
-    bar = second_variation(t, lag, 0.0, omega, tilde_operator="bar")
-    grad = second_variation(t, lag, 0.0, omega, tilde_operator="grad")
-    assert math.isfinite(bar) and math.isfinite(grad)
-    with pytest.raises(ValueError):
-        second_variation(t, lag, 0.0, omega, tilde_operator="nope")
-
-
 def test_second_variation_azimuthal_mode_extension():
     lag, rho = zero_pressure_member(2)
     t = TorusShape.from_ratio(rho, 1)

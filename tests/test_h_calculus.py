@@ -14,7 +14,6 @@ from torusvar.h_calculus import (
     grad_h_squared,
     k_as_hpoly,
     laplacian_h,
-    laplacian_h_pow,
     laplacian_poly,
     laplacian_pow_leading_coeffs,
 )
@@ -102,12 +101,7 @@ def test_grad_h_squared_vanishes_at_critical_angles():
 
 def test_laplacian_h_pow_base_case():
     for t in random_exact_tori(3, seed=7):
-        assert laplacian_h_pow(t, 1) == laplacian_h(t)
-
-
-def test_laplacian_h_pow_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        laplacian_h_pow(CLIFFORD, 0)
+        assert laplacian_poly(t, HPoly.monomial(1)) == laplacian_h(t)
 
 
 def test_leading_coefficient_example():
@@ -118,7 +112,7 @@ def test_leading_coefficient_example():
 def test_leading_coefficients_closed_form_exact():
     for t in random_exact_tori(4, seed=9):
         for n in range(2, 11):
-            poly = laplacian_h_pow(t, n)
+            poly = laplacian_poly(t, HPoly.monomial(n))
             top, sub = laplacian_pow_leading_coeffs(t, n)
             assert poly.coefficient(n + 2) == top
             assert poly.coefficient(n + 1) == sub
@@ -131,7 +125,7 @@ def test_chain_rule_consistency_exact():
             d1 = mono.derivative()
             d2 = d1.derivative()
             expected = d1 * laplacian_h(t) + d2 * grad_h_squared(t)
-            assert laplacian_h_pow(t, n) == expected
+            assert laplacian_poly(t, mono) == expected
 
 
 def test_coefficients_use_only_even_powers_of_large_radius():
@@ -197,7 +191,7 @@ def test_every_closed_form_matches_the_grid_oracle():
         assert grid_match(t, grad_h_squared(t), df * df / r**2, h)
         for n in range(2, 7):
             assert grid_match(
-                t, laplacian_h_pow(t, n), lb_numeric(shape, SurfaceGrid(h**n)).values, h
+                t, laplacian_poly(t, HPoly.monomial(n)), lb_numeric(shape, SurfaceGrid(h**n)).values, h
             )
         assert grid_match(t, divbar_h(t), divbar_numeric(shape, SurfaceGrid(h)).values, h)
         assert grid_match(t, divbar_k(t), divbar_numeric(shape, SurfaceGrid(k)).values, h)
@@ -214,7 +208,7 @@ def test_every_closed_form_matches_the_grid_oracle():
 def test_specific_grid_agreements_from_worked_cases():
     # laplacian(H^3) on the Clifford torus, div_bar(H^3) at ratio 2, both 1e-9
     for t, op_closed, field_power, op_grid in [
-        (CLIFFORD, laplacian_h_pow(CLIFFORD, 3), 3, lb_numeric),
+        (CLIFFORD, laplacian_poly(CLIFFORD, HPoly.monomial(3)), 3, lb_numeric),
         (ExactTorus(Fraction(3), 1), divbar_poly(ExactTorus(Fraction(3), 1), HPoly.monomial(3)), 3, divbar_numeric),
     ]:
         shape = t.to_shape()

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusvar.critical_solver import family_lagrangian, theorem_kterms
 from torusvar.exact_algebra import LinearForm
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import (
     HelfrichParams,
     Lagrangian,
     el_residual,
-    el_residual_numeric,
+    el_residual_numeric_scaled,
     el_system,
     helfrich_lagrangian,
     sphere_residual,
@@ -74,7 +75,7 @@ def test_exact_residual_matches_grid_only_route():
         lag = Lagrangian(terms, pressure)
 
         poly = el_residual(t, lag)
-        grid = el_residual_numeric(t.to_shape(), lag, 256)
+        grid = el_residual_numeric_scaled(t.to_shape(), lag, 256)[0]
         from torusvar.torus_geometry import curvatures, grid_nodes
 
         h, _ = curvatures(t.to_shape(), grid_nodes(256))
@@ -126,6 +127,21 @@ def test_top_row_reduces_to_the_leading_coefficient_equation():
             row = system.row(n + 1)
             expected = Fraction(4 * n * (n - 1) ** 2) * (t.r2 - t.a2) / t.a2 + 4 * (n - 1)
             assert row == LinearForm({"a1": expected})
+
+
+def test_rows_are_affine_in_inverse_a_squared():
+    # the solver reads a family's rows at fixed r as U + V / a^2 from two
+    # assemblies; the rows at any third a^2 must follow from the same two
+    r = Fraction(17, 16)
+    s1, s2, s3 = 3 * r * r, Fraction(7, 2) * r * r, Fraction(11, 5) * r * r
+    weight = (1 / s3 - 1 / s2) / (1 / s1 - 1 / s2)
+    families = [_pure_h_family(n) for n in range(1, 13)]
+    families += [family_lagrangian(n, theorem_kterms(n)) for n in range(4, 9)]
+    for lag in families:
+        first, second, third = (el_system(ExactTorus(s, r), lag) for s in (s1, s2, s3))
+        for power in range(max(len(first.rows), len(second.rows), len(third.rows))):
+            interpolated = first.row(power).scale(weight) + second.row(power).scale(1 - weight)
+            assert interpolated == third.row(power), (lag.terms, power)
 
 
 def test_second_order_top_row_forces_clifford_ratio():
