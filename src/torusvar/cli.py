@@ -248,6 +248,10 @@ def cmd_verify(args) -> int:
         "numeric_max": float(_fmt_float(result.numeric_max_residual)),
         "numeric_relative": float(_fmt_float(result.numeric_relative)),
     }
+    payload["diagnostics"] = {
+        "grid": grid,
+        "grid_source": "--grid" if args.grid else "suggest_grid",
+    }
     _emit(payload, text, args)
     return EXIT_OK if ok else EXIT_TOLERANCE
 

@@ -1,9 +1,11 @@
 """Exact solving of the critical-point systems for polynomial Lagrangians.
 
 The degree-n pure-H family is E_n = a1 H^n + a2 H^(n-1) + ... + a_{n+1},
-with the pressure p one more linear unknown.  Collecting the residual of
-:func:`torusvar.shape_equation.el_system` by powers of H gives n + 2 linear
-equations; the top row involves only a1 and fixes the aspect ratio
+with the pressure p one more linear unknown.  Collecting the residual by
+powers of H gives n + 2 linear equations, each affine in 1 / (a^2/r^2) with
+integer coefficients once the unknowns are normalized by powers of r (see
+:class:`torusvar.shape_equation.ResidualRows`); the top row involves only a1
+and fixes the aspect ratio
 
     a^2 / r^2 = (n^2 - n) / (n^2 - n - 1),    n >= 2,
 
@@ -19,14 +21,15 @@ rank allows it and reported families match a fixed convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import shape_equation
-from .exact_algebra import LinearForm, solve_linear_system
+from .exact_algebra import LinearForm, LinearSolution, solve_linear_system, solve_rows
 from .h_calculus import ExactTorus
-from .shape_equation import Lagrangian, ResidualSystem, el_residual
+from .shape_equation import Lagrangian, ResidualRows, el_residual
 from .torus_geometry import DEFAULT_GRID
 
 __all__ = [
@@ -147,9 +150,6 @@ class SolutionReport:
     consistent: bool
     offending_rows: tuple[int, ...] = ()
 
-    def coefficient(self, name: str) -> LinearForm:
-        return self.assignments[name]
-
     def lagrangian_at(self, free_values: Mapping[str, Fraction]) -> Lagrangian:
         """Instantiate the family at concrete free-parameter values."""
         values = {name: Fraction(v) for name, v in free_values.items()}
@@ -184,32 +184,59 @@ def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction
         ]
     else:
         return None
-    value = Fraction(1)
-    vanished = []
-    for name, v in factors:
-        value *= v
-        if v == 0:
-            vanished.append(name)
-    return value, tuple(vanished)
+    value = math.prod((v for _, v in factors), start=Fraction(1))
+    return value, tuple(name for name, v in factors if v == 0)
 
 
-def _solve_fixed(
+def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
+    """The aspect ratio a^2/r^2 at which the top row H^(n+1) of a degree-n
+    family vanishes, if it involves a1 alone; None when it vanishes
+    identically (no restriction on the radii)."""
+    if n + 1 >= len(rows.u):
+        return None
+    u_row, v_row = rows.u[n + 1], rows.v[n + 1]
+    involved = {name for name, x, y in zip(rows.coefficients, u_row, v_row) if x or y}
+    extra = involved - {"a1"}
+    if extra:
+        raise ValueError(
+            "no pure radius constraint: the top residual row also involves "
+            + ", ".join(sorted(extra))
+        )
+    a1 = rows.coefficients.index("a1")
+    u, v = u_row[a1], v_row[a1]
+    if u == 0 and v == 0:
+        return None
+    if u == 0:
+        raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
+    ratio = Fraction(-v, u)
+    if ratio <= 1:
+        raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
+    return ratio
+
+
+def _solve_family(
     n: int,
-    kterms: Sequence[tuple[int, int]],
-    system: ResidualSystem,
-    a2: Fraction | None,
+    kterms: tuple[tuple[int, int], ...],
+    rows: ResidualRows,
     r: Fraction,
+    ratio: Fraction | None,
     constraint: Fraction | None,
 ) -> SolutionReport:
-    unknowns = list(system.unknowns)
+    """The family at radii (ratio r^2, r), solved on the integer rows
+    num U + den V of its unknowns normalized by r^-weight (``ratio`` None
+    reads U alone, for a family whose V part vanishes); r enters only when
+    the assignments are scaled back, c = r^weight c_normalized."""
+    unknowns = rows.coefficients
+    a2 = None if ratio is None else ratio * r * r
     order = _pivot_order(n, len(kterms))
-    row_powers = [i for i, _ in system.nonzero_rows()]
-    rows = [row for _, row in system.nonzero_rows()]
-    solution = solve_linear_system(rows, unknowns, pivot_order=order)
-
-    assignments = dict(solution.assignments)
-    for name in solution.free:
-        assignments[name] = LinearForm.variable(name)
+    # no known coefficient, so the constant column is zero, and so is every
+    # assignment's constant
+    solution = solve_rows([row + [0] for row in rows.at_ratio(ratio)], unknowns, order)
+    weight = dict(zip(unknowns, rows.weights))
+    assignments = {
+        name: LinearForm({f: c * r ** (weight[name] - weight[f]) for f, c in form.terms.items()})
+        for name, form in solution.assignments.items()
+    }
 
     delta = None
     degeneracy = None
@@ -236,73 +263,23 @@ def _solve_fixed(
         r=r,
         a2=a2,
         constraint=constraint,
-        kterms=tuple(kterms),
-        unknowns=tuple(unknowns),
+        kterms=kterms,
+        unknowns=unknowns,
         free_parameters=solution.free,
         assignments=assignments,
         delta=delta,
         degeneracy=degeneracy,
         consistent=solution.consistent,
-        offending_rows=tuple(row_powers[i] for i in solution.offending_rows),
+        offending_rows=solution.offending_rows,
     )
-
-
-@dataclass(frozen=True)
-class _RadiusAffine:
-    """A family's residual rows at fixed r, written as U + V / a^2.
-
-    Every row coefficient is affine in 1/a^2, so the assemblies at two probe
-    values of a^2 determine U and V exactly.
-    """
-
-    u: ResidualSystem
-    v: ResidualSystem
-
-    @staticmethod
-    def read(lagrangian: Lagrangian, r: Fraction) -> "_RadiusAffine":
-        s1, s2 = 3 * r * r, 7 * r * r
-        first = shape_equation.el_system(ExactTorus(s1, r), lagrangian)
-        second = shape_equation.el_system(ExactTorus(s2, r), lagrangian)
-        powers = range(max(len(first.rows), len(second.rows)))
-        slope = 1 / (1 / s1 - 1 / s2)
-        v = [(first.row(i) + second.row(i).scale(-1)).scale(slope) for i in powers]
-        u = [first.row(i) + v[i].scale(-1 / s1) for i in powers]
-        return _RadiusAffine(
-            ResidualSystem(first.unknowns, tuple(u)), ResidualSystem(first.unknowns, tuple(v))
-        )
-
-    def at(self, a2: Fraction) -> ResidualSystem:
-        rows = (u + v.scale(1 / a2) for u, v in zip(self.u.rows, self.v.rows))
-        return ResidualSystem(self.u.unknowns, tuple(rows))
-
-    def constraint(self, power: int, r: Fraction) -> Fraction | None:
-        """The aspect ratio at which row ``power`` vanishes, if it involves a1
-        alone; None when the row vanishes identically (no restriction on the
-        radii)."""
-        u_row, v_row = self.u.row(power), self.v.row(power)
-        extra = (set(u_row.terms) | set(v_row.terms)) - {"a1"}
-        if extra:
-            raise ValueError(
-                "no pure radius constraint: the top residual row also involves "
-                + ", ".join(sorted(extra))
-            )
-        u, v = u_row.coefficient("a1"), v_row.coefficient("a1")
-        if u == 0 and v == 0:
-            return None
-        if u == 0:
-            raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
-        ratio = -v / u / (r * r)
-        if ratio <= 1:
-            raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
-        return ratio
 
 
 def solve_pure_h(n: int, r) -> SolutionReport:
     """Critical family of the degree-n pure-H Lagrangian.
 
     For n >= 2 the aspect ratio is the root of the top residual row, read
-    from the system's affine form in 1/a^2, and the remaining rows are solved
-    at that ratio; for n = 1 the 1/a^2 part vanishes, so there is no
+    from the family's affine form in 1/rho, and the remaining rows are
+    solved at that ratio; for n = 1 the 1/rho part vanishes, so there is no
     restriction on the radii and the family is radius-independent.
     """
     if n < 1:
@@ -310,15 +287,15 @@ def solve_pure_h(n: int, r) -> SolutionReport:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    affine = _RadiusAffine.read(family_lagrangian(n), r)
+    rows = ResidualRows.of(family_lagrangian(n))
     if n == 1:
-        if affine.v.nonzero_rows():
+        if any(any(row) for row in rows.v):
             raise AssertionError("degree-1 family unexpectedly depends on the radii")
-        return _solve_fixed(1, (), affine.u, None, r, None)
-    ratio = affine.constraint(n + 1, r)
+        return _solve_family(1, (), rows, r, None, None)
+    ratio = _constraint(rows, n)
     if ratio is None:
         raise AssertionError(f"degree {n} >= 2 must force a radius constraint")
-    return _solve_fixed(n, (), affine.at(ratio * r * r), ratio * r * r, r, ratio)
+    return _solve_family(n, (), rows, r, ratio, ratio)
 
 
 def solve_with_gauss(
@@ -342,50 +319,28 @@ def solve_with_gauss(
     terms = tuple(kterms) if kterms is not None else default_kterms(n)
     if not terms:
         raise ValueError("term set must be nonempty; use solve_pure_h instead")
-    lagrangian = family_lagrangian(n, terms)
+    rows = ResidualRows.of(family_lagrangian(n, terms))
     if a2 is not None:
         a2 = Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
-        system = shape_equation.el_system(ExactTorus(a2, r), lagrangian)
-        return _solve_fixed(n, terms, system, a2, r, None)
-    affine = _RadiusAffine.read(lagrangian, r)
-    ratio = affine.constraint(n + 1, r)
+        return _solve_family(n, terms, rows, r, a2 / (r * r), None)
+    ratio = _constraint(rows, n)
     if ratio is None:
         raise ValueError("top row vanishes identically; provide a2 explicitly")
-    return _solve_fixed(n, terms, affine.at(ratio * r * r), ratio * r * r, r, ratio)
+    return _solve_family(n, terms, rows, r, ratio, ratio)
 
 
-def solve_lagrangian(t: ExactTorus, lagrangian: Lagrangian) -> "GenericSolution":
+def solve_lagrangian(t: ExactTorus, lagrangian: Lagrangian) -> LinearSolution:
     """Solve an arbitrary mixed known/unknown Lagrangian at fixed radii.
 
     Fixed coefficients turn the system affine, so it can be inconsistent;
     that outcome signals the torus is not a critical point for any member of
-    the given family and is reported rather than raised.
+    the given family and is reported rather than raised (``offending_rows``
+    are powers of H).
     """
     system = shape_equation.el_system(t, lagrangian)
-    rows = [row for _, row in system.nonzero_rows()]
-    row_powers = [i for i, _ in system.nonzero_rows()]
-    solution = solve_linear_system(rows, list(system.unknowns), None)
-    assignments = dict(solution.assignments)
-    for name in solution.free:
-        assignments[name] = LinearForm.variable(name)
-    return GenericSolution(
-        unknowns=tuple(system.unknowns),
-        free_parameters=solution.free,
-        assignments=assignments,
-        consistent=solution.consistent,
-        offending_rows=tuple(row_powers[i] for i in solution.offending_rows),
-    )
-
-
-@dataclass(frozen=True)
-class GenericSolution:
-    unknowns: tuple[str, ...]
-    free_parameters: tuple[str, ...]
-    assignments: dict[str, LinearForm]
-    consistent: bool
-    offending_rows: tuple[int, ...]
+    return solve_linear_system(system.rows, system.unknowns)
 
 
 def verify_solution(

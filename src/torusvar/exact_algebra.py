@@ -9,12 +9,12 @@ comparison here.  Three layers are provided.
   trimmed, the zero polynomial has an empty coefficient tuple.
 * ``LinearForm`` -- a sparse linear expression ``sum_i c_i * x_i + const``
   over named unknowns.
-* ``solve_linear_system`` / ``nullspace`` -- exact solving of a list of
-  ``LinearForm`` equations (each row read as ``form == 0``).  Forward
-  elimination is fraction-free (Bareiss), which keeps the intermediate
-  integers from exploding the way naive cross-multiplication does; the
+* ``solve_rows`` -- exact solving of rational row vectors, entirely in
+  integers (Bareiss forward elimination, fraction-free back substitution);
+  ``solve_linear_system`` and ``nullspace`` (``LinearForm`` rows, each read
+  as ``form == 0``) and the critical families all go through it.  The
   solved coefficients in the examples of interest reach seven-digit
-  numerators, so this matters.
+  numerators, so keeping the integers small matters.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "HPoly",
     "LinearForm",
     "LinearSolution",
+    "solve_rows",
     "solve_linear_system",
     "nullspace",
     "parse_fraction",
@@ -135,14 +136,6 @@ class HPoly:
             return HPoly.zero()
         return HPoly(tuple(c * factor for c in self.coeffs))
 
-    def __pow__(self, exponent: int) -> "HPoly":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = HPoly.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def derivative(self) -> "HPoly":
         return HPoly.of([k * c for k, c in enumerate(self.coeffs)][1:])
 
@@ -179,10 +172,6 @@ class LinearForm:
         cleaned = {k: _as_fraction(v) for k, v in self.terms.items() if v != 0}
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "constant", _as_fraction(self.constant))
-
-    @staticmethod
-    def of(terms: Mapping[str, object] | None = None, constant=0) -> "LinearForm":
-        return LinearForm(dict(terms or {}), _as_fraction(constant))
 
     @staticmethod
     def variable(name: str, coeff=1) -> "LinearForm":
@@ -237,10 +226,11 @@ class LinearForm:
 class LinearSolution:
     """Outcome of an exact linear solve.
 
-    ``assignments`` maps each pivot (bound) unknown to a LinearForm over the
-    free unknowns; resubstitution into the original rows yields exact zeros.
-    ``consistent`` is False when some row reduced to ``nonzero constant == 0``;
-    the indices of those rows (in the caller's ordering) are reported.
+    ``assignments`` maps every unknown to a LinearForm over the free unknowns
+    (a free unknown maps to itself); resubstitution into the original rows
+    yields exact zeros.  ``consistent`` is False when some row reduced to
+    ``nonzero constant == 0``; the indices of those rows (in the caller's
+    ordering) are reported.
     """
 
     unknowns: tuple[str, ...]
@@ -260,39 +250,28 @@ def _cleared(vec: Sequence[Fraction]) -> list[int]:
     return [v // common for v in ints]
 
 
-def _integer_rows(
-    rows: Sequence[LinearForm], unknowns: Sequence[str]
-) -> list[tuple[int, list[int]]]:
-    cleared = []
-    for idx, form in enumerate(rows):
-        vec = [form.coefficient(u) for u in unknowns] + [form.constant]
-        if all(v == 0 for v in vec):
-            continue
-        cleared.append((idx, _cleared(vec)))
-    return cleared
-
-
-def solve_linear_system(
-    rows: Sequence[LinearForm],
+def solve_rows(
+    rows: Sequence[Sequence],
     unknowns: Sequence[str],
     pivot_order: Sequence[str] | None = None,
 ) -> LinearSolution:
-    """Solve ``row == 0`` for every row, exactly.
+    """Solve ``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, exactly.
 
-    ``pivot_order`` controls which unknowns get bound: columns are offered as
-    pivots in that order, so unknowns late in the order stay free whenever the
-    rank allows it.  Forward elimination is Bareiss fraction-free over
-    integer-cleared rows; back substitution reconstructs rational assignments.
+    A row holds rationals (ints or Fractions), one per unknown and the
+    constant last; ``offending_rows`` indexes ``rows``.  Columns are offered
+    as pivots in ``pivot_order``, so unknowns late in it stay free whenever
+    the rank allows.  Forward elimination is Bareiss over integer-cleared
+    rows; back substitution clears each pivot row of the later pivot columns
+    by cross-multiplication and a gcd division, so each assignment's
+    Fractions are built once, from the reduced integers.
     """
     unknowns = list(unknowns)
-    order = list(pivot_order) if pivot_order is not None else list(unknowns)
-    for u in unknowns:
-        if u not in order:
-            order.append(u)
+    # every unknown is offered; a repeated offer finds no pivot, since after
+    # the first one its column is zero in every remaining row
+    order = [*(pivot_order or ()), *unknowns]
     col_of = {u: i for i, u in enumerate(unknowns)}
-    ncols = len(unknowns) + 1
 
-    remaining = _integer_rows(rows, unknowns)
+    remaining = [(idx, _cleared(vec)) for idx, vec in enumerate(rows) if any(vec)]
     pivots: list[tuple[list[int], int]] = []
     prev = 1
     for u in order:
@@ -306,7 +285,8 @@ def solve_linear_system(
         for idx, vec in remaining:
             # one fraction-free elimination step; the division by the previous
             # pivot is exact (Sylvester identity)
-            vec = [(pval * vec[l] - vec[c] * pvec[l]) // prev for l in range(ncols)]
+            vc = vec[c]
+            vec = [(pval * x - vc * y) // prev for x, y in zip(vec, pvec)]
             if any(v != 0 for v in vec):
                 updated.append((idx, vec))
         remaining = updated
@@ -314,32 +294,43 @@ def solve_linear_system(
         pivots.append((pvec, c))
 
     offending = tuple(idx for idx, vec in remaining if vec[-1] != 0)
-    consistent = not offending
-
     pivot_cols = {c for _, c in pivots}
-    free = tuple(u for u in unknowns if col_of[u] not in pivot_cols)
-    assignments: dict[str, LinearForm] = {}
+    free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
+
+    reduced: list[tuple[list[int], int]] = []
     for pvec, c in reversed(pivots):
-        expr = LinearForm(constant=Fraction(-pvec[-1], pvec[c]))
-        for l in range(len(unknowns)):
-            if l == c or pvec[l] == 0:
-                continue
-            coeff = Fraction(-pvec[l], pvec[c])
-            name = unknowns[l]
-            if name in assignments:
-                expr = expr + assignments[name].scale(coeff)
-            else:
-                expr = expr + LinearForm.variable(name, coeff)
-        assignments[unknowns[c]] = expr
+        for qvec, d in reduced:
+            if pvec[d]:
+                f, g = qvec[d], pvec[d]
+                pvec = [f * x - g * y for x, y in zip(pvec, qvec)]
+                common = gcd(*pvec)
+                pvec = [x // common for x in pvec]
+        reduced.append((pvec, c))
+
+    forms = {unknowns[l]: LinearForm.variable(unknowns[l]) for l in free_cols}
+    for pvec, c in reduced:
+        lead = pvec[c]
+        terms = {unknowns[l]: Fraction(-pvec[l], lead) for l in free_cols if pvec[l]}
+        forms[unknowns[c]] = LinearForm(terms, Fraction(-pvec[-1], lead))
 
     return LinearSolution(
         unknowns=tuple(unknowns),
-        assignments=assignments,
-        free=free,
+        assignments={u: forms[u] for u in unknowns},
+        free=tuple(unknowns[l] for l in free_cols),
         pivot_unknowns=tuple(unknowns[c] for _, c in pivots),
-        consistent=consistent,
+        consistent=not offending,
         offending_rows=offending,
     )
+
+
+def solve_linear_system(
+    rows: Sequence[LinearForm],
+    unknowns: Sequence[str],
+    pivot_order: Sequence[str] | None = None,
+) -> LinearSolution:
+    """Solve ``row == 0`` for every LinearForm row exactly, by :func:`solve_rows`."""
+    vectors = [[form.coefficient(u) for u in unknowns] + [form.constant] for form in rows]
+    return solve_rows(vectors, unknowns, pivot_order)
 
 
 def nullspace(
@@ -359,15 +350,7 @@ def nullspace(
     sol = solve_linear_system(rows, unknowns, pivot_order)
     basis = []
     for f in sol.free:
-        vec = []
-        for u in sol.unknowns:
-            if u == f:
-                vec.append(Fraction(1))
-            elif u in sol.assignments:
-                vec.append(sol.assignments[u].coefficient(f))
-            else:
-                vec.append(Fraction(0))
-        ints = _cleared(vec)
+        ints = _cleared([sol.assignments[u].coefficient(f) for u in sol.unknowns])
         lead = next((v for v in ints if v != 0), 1)
         if lead < 0:
             ints = [-v for v in ints]

@@ -10,8 +10,14 @@ w = a / (2 s)), the eliminations used below are
     |grad H|^2     =  s^2 (4 r^2 s^2 - a^2 (2 s - 1)^2) / (a^2 r^4)
     div_bar(H)     = -4 s^2 (a^2 (2 s - 1)^2 + r^2 s (1 - 4 s)) / (a^2 r^4)
 
-expanded into the explicit coefficient arrays coded here.  Every closed form
-is regression-tested against the independent spectral operators of
+Every operator is homogeneous in the radii: written in x = r H and
+rho = a^2 / r^2, an operator of inverse-length weight d is r^-d times a
+polynomial in x whose coefficients are U_p + V_p / rho with integers U_p and
+V_p (the affine form in 1/rho is the 1/a^2 of the eliminations above).  The
+table below holds those integer pairs once, for every torus; the closed forms
+on a given torus are read from it by :func:`_on_torus`, which puts the
+coefficient r^(p - d) (U_p + V_p / rho) on H^p.  Every closed form is
+regression-tested against the independent spectral operators of
 :mod:`torusvar.torus_geometry`.
 
 Only even powers of the large radius appear, so all of these are exact
@@ -24,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from typing import Sequence
 
 from .exact_algebra import HPoly
 from .torus_geometry import TorusShape
@@ -40,6 +48,20 @@ __all__ = [
     "divbar_poly",
     "laplacian_poly",
 ]
+
+# (U, V): integer coefficient lists in x = r H of U + V / rho at r = 1
+IntTable = tuple[Sequence[int], Sequence[int]]
+
+# K r^2 = 2 x - 1 (weight 2, no 1/rho part)
+K_HAT = (-1, 2)
+# weight 3
+LAPLACIAN_H: IntTable = ((2, -8, 10, -4), (-4, 12, -12, 4))
+# weight 4
+GRAD_H_SQUARED: IntTable = ((-1, 6, -13, 12, -4), (4, -16, 24, -16, 4))
+# weight 4
+DIVBAR_H: IntTable = ((-4, 24, -52, 48, -16), (12, -52, 84, -60, 16))
+# the bilinear remainder r K |grad H|^2 = K_HAT * GRAD_H_SQUARED, weight 5
+BILINEAR: IntTable = ((1, -8, 25, -38, 28, -8), (-4, 24, -56, 64, -36, 8))
 
 
 @dataclass(frozen=True)
@@ -67,23 +89,26 @@ class ExactTorus:
         return TorusShape(a=math.sqrt(self.a2), r=float(self.r), a2=self.a2, r2=self.r2)
 
 
+def _on_torus(t: ExactTorus, table: IntTable, weight: int) -> HPoly:
+    """The H-polynomial of a table entry of inverse-length weight ``weight``
+    on the torus t: r^(p - weight) (U_p + V_p / rho) on H^p."""
+    inv_ratio = 1 / t.ratio
+    scale = t.r ** -weight
+    coeffs = []
+    for up, vp in zip_longest(*table, fillvalue=0):
+        coeffs.append(scale * (up + vp * inv_ratio))
+        scale *= t.r
+    return HPoly.of(coeffs)
+
+
 def k_as_hpoly(t: ExactTorus) -> HPoly:
     """Gaussian curvature K = (2 r H - 1) / r**2 as a linear H-polynomial."""
-    return HPoly.of([Fraction(-1, 1) / t.r2, Fraction(2, 1) / t.r])
+    return _on_torus(t, (K_HAT, ()), 2)
 
 
 def laplacian_h(t: ExactTorus) -> HPoly:
     """Laplace-Beltrami of H, a cubic in H."""
-    a2, r, r2 = t.a2, t.r, t.r2
-    pre = Fraction(1) / (a2 * r**3)
-    return HPoly.of(
-        [
-            2 * (a2 - 2 * r2),
-            4 * r * (-2 * a2 + 3 * r2),
-            2 * r2 * (5 * a2 - 6 * r2),
-            4 * r**3 * (-a2 + r2),
-        ]
-    ).scale(pre)
+    return _on_torus(t, LAPLACIAN_H, 3)
 
 
 def grad_h_squared(t: ExactTorus) -> HPoly:
@@ -92,17 +117,7 @@ def grad_h_squared(t: ExactTorus) -> HPoly:
     The constant term is 4 r^2 - a^2: the polynomial must vanish at both
     critical values H(0) and H(pi) of the mean curvature, which pins it.
     """
-    a2, r, r2 = t.a2, t.r, t.r2
-    pre = Fraction(1) / (a2 * r**4)
-    return HPoly.of(
-        [
-            4 * r2 - a2,
-            2 * r * (3 * a2 - 8 * r2),
-            r2 * (-13 * a2 + 24 * r2),
-            4 * r**3 * (3 * a2 - 4 * r2),
-            4 * r**4 * (-a2 + r2),
-        ]
-    ).scale(pre)
+    return _on_torus(t, GRAD_H_SQUARED, 4)
 
 
 def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fraction]:
@@ -121,17 +136,7 @@ def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fract
 
 def divbar_h(t: ExactTorus) -> HPoly:
     """div_bar of H, a quartic in H."""
-    a2, r, r2 = t.a2, t.r, t.r2
-    pre = Fraction(1) / (a2 * r**4)
-    return HPoly.of(
-        [
-            4 * (-a2 + 3 * r2),
-            4 * r * (6 * a2 - 13 * r2),
-            4 * r2 * (-13 * a2 + 21 * r2),
-            12 * r**3 * (4 * a2 - 5 * r2),
-            16 * r**4 * (-a2 + r2),
-        ]
-    ).scale(pre)
+    return _on_torus(t, DIVBAR_H, 4)
 
 
 def divbar_k(t: ExactTorus) -> HPoly:
@@ -147,7 +152,7 @@ def divbar_bilinear(t: ExactTorus) -> HPoly:
 
         div_bar(f(H)) = f'(H) div_bar(H) + f''(H) B(H).
     """
-    return (k_as_hpoly(t) * grad_h_squared(t)).scale(t.r)
+    return _on_torus(t, BILINEAR, 5)
 
 
 def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:

@@ -13,9 +13,10 @@ where K = (2 r H - 1) / r^2.  On the torus the whole left-hand side collapses
 to a single polynomial in H; it is linear in the Lagrangian coefficients and
 in p, so with unknown coefficients each power of H yields one linear equation.
 
-Two independent evaluation routes are provided: the exact route through the
-closed-form operator polynomials of :mod:`torusvar.h_calculus`, and a fully
-numeric route through the spectral grid operators of
+Two independent evaluation routes are provided: the exact route through one
+integer column per monomial H^i K^j (:func:`residual_column`, built from the
+operator table of :mod:`torusvar.h_calculus` and valid on every torus), and a
+fully numeric route through the spectral grid operators of
 :mod:`torusvar.torus_geometry` alone, used as a cross-check oracle.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "HelfrichParams",
     "helfrich_lagrangian",
     "ResidualSystem",
+    "ResidualRows",
+    "residual_column",
     "el_system",
     "el_residual",
     "el_residual_numeric_scaled",
@@ -88,10 +91,7 @@ class Lagrangian:
         names = [c for c in self.terms.values() if _is_unknown(c)]
         if _is_unknown(self.pressure):
             names.append(self.pressure)
-        seen: dict[str, None] = {}
-        for n in names:
-            seen.setdefault(n)
-        return tuple(seen)
+        return tuple(dict.fromkeys(names))
 
     @property
     def is_numeric(self) -> bool:
@@ -114,21 +114,14 @@ class Lagrangian:
             total = total + float(c) * h**i * k**j
         return total
 
+    # distinct terms have distinct partials, so nothing needs collecting
     def partial_h(self) -> dict[tuple[int, int], Fraction]:
         self._require_numeric()
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if i >= 1:
-                out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + i * Fraction(c)
-        return out
+        return {(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1}
 
     def partial_k(self) -> dict[tuple[int, int], Fraction]:
         self._require_numeric()
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if j >= 1:
-                out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + j * Fraction(c)
-        return out
+        return {(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1}
 
     def _require_numeric(self):
         if not self.is_numeric:
@@ -179,51 +172,111 @@ class ResidualSystem:
             return self.rows[power]
         return LinearForm()
 
-    @property
-    def degree(self) -> int:
-        return len(self.rows) - 1
-
-    def nonzero_rows(self) -> list[tuple[int, LinearForm]]:
-        return [(i, row) for i, row in enumerate(self.rows) if not row.is_zero]
-
     def substitute(self, values: Mapping[str, Fraction]) -> HPoly:
         return HPoly.of([row.evaluate(values) for row in self.rows])
 
 
-def _torus_operators(t: ExactTorus) -> tuple[HPoly, ...]:
-    """K, lap H, |grad H|^2, div_bar H and the bilinear term on one torus."""
-    return (
-        h_calculus.k_as_hpoly(t),
-        h_calculus.laplacian_h(t),
-        h_calculus.grad_h_squared(t),
-        h_calculus.divbar_h(t),
-        h_calculus.divbar_bilinear(t),
-    )
+def _products_sum(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
+    """Sum of the products of integer coefficient lists, trailing zeros trimmed."""
+    out: list[int] = []
+    for p, q in pairs:
+        if len(out) < len(p) + len(q) - 1:
+            out.extend([0] * (len(p) + len(q) - 1 - len(out)))
+        for a, pa in enumerate(p):
+            if pa:
+                for b, qb in enumerate(q):
+                    out[a + b] += pa * qb
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _column(operators: tuple[HPoly, ...], i: int, j: int) -> HPoly:
-    """Residual of the single density E = H^i K^j at zero pressure.
+def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
+    """Residual of the single density E = H^i K^j at zero pressure, as an
+    integer table (U, V) of :mod:`torusvar.h_calculus` of weight i + 2 j + 1:
+    on a torus its coefficient of H^p is r^(p - i - 2 j - 1) (U_p + V_p / rho).
 
-    lap and div_bar of a polynomial in H expand by the chain rule
-    f'(H) op(H) + f''(H) B(H), with B = |grad H|^2 for lap and the bilinear
-    term for div_bar.
+    lap and div_bar of a polynomial f(x) expand by the chain rule
+    f' op(x) + f'' B(x), with B = |grad H|^2 for lap and the bilinear term
+    for div_bar; only these operators carry a 1/rho part, and each enters
+    linearly, which is where the affine form in 1/rho comes from.
     """
-    k_poly, lap_h, grad2, dbar_h, bilinear = operators
-    # -4HE
-    column = (HPoly.monomial(i + 1) * k_poly**j).scale(-4)
+    k_hat = h_calculus.K_HAT
+
+    def term(h_power: int, k_power: int, coeff: int) -> list[int]:
+        # coeff * x^h_power * K_hat^k_power
+        poly = [coeff]
+        for _ in range(k_power):
+            poly = _products_sum([(poly, k_hat)])
+        return [0] * h_power + poly
+
+    # (partial of E, its operator, the operator's chain-rule remainder B,
+    # the algebraic factor) for each partial that is present
+    parts = []
     if i >= 1:
         # (lap + 4H^2 - 2K) dE/dH
-        e_h = (HPoly.monomial(i - 1) * k_poly**j).scale(i)
-        d1 = e_h.derivative()
-        algebraic = HPoly.monomial(2, 4) - k_poly.scale(2)
-        column = column + d1 * lap_h + d1.derivative() * grad2 + e_h * algebraic
+        e_h = term(i - 1, j, i)
+        parts.append((e_h, h_calculus.LAPLACIAN_H, h_calculus.GRAD_H_SQUARED, [2, -4, 4]))
     if j >= 1:
-        # 2 (div_bar + 2KH) dE/dK
-        e_k = (HPoly.monomial(i) * k_poly ** (j - 1)).scale(j)
-        d1 = e_k.derivative()
-        two_kh = (k_poly * HPoly.monomial(1)).scale(2)
-        column = column + (d1 * dbar_h + d1.derivative() * bilinear + e_k * two_kh).scale(2)
-    return column
+        # 2 (div_bar + 2KH) dE/dK, with the 2 folded into dE/dK
+        e_k = term(i, j - 1, 2 * j)
+        parts.append((e_k, h_calculus.DIVBAR_H, h_calculus.BILINEAR, [0, -2, 4]))
+    u_pairs = [(term(i + 1, j, -4), [1])]  # -4HE
+    v_pairs = []
+    for e, (op_u, op_v), (rem_u, rem_v), algebraic in parts:
+        d1 = [k * c for k, c in enumerate(e)][1:]
+        d2 = [k * c for k, c in enumerate(d1)][1:]
+        u_pairs += [(d1, op_u), (d2, rem_u), (e, algebraic)]
+        v_pairs += [(d1, op_v), (d2, rem_v)]
+    return _products_sum(u_pairs), _products_sum(v_pairs)
+
+
+@dataclass(frozen=True)
+class ResidualRows:
+    """A Lagrangian's residual rows, built once for every torus.
+
+    Column k belongs to ``coefficients[k]``, the coefficient of one term
+    H^i K^j (the pressure is the last column), normalized as c r^-w with the
+    weight w = ``weights[k]`` = i + 2 j - 2 (the pressure's is -3).  Over the
+    normalized coefficients the row of H^p is r^(p - 3) times U_p + V_p / rho,
+    with the integer vectors U_p, V_p of :func:`residual_column` and
+    rho = a^2 / r^2, so the rows at rho = num / den are, up to the factor
+    r^(p - 3) / num, the integer rows num U + den V.
+    """
+
+    coefficients: tuple[Coefficient, ...]
+    weights: tuple[int, ...]
+    u: tuple[tuple[int, ...], ...]
+    v: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(lagrangian: Lagrangian) -> "ResidualRows":
+        columns = [residual_column(i, j) for i, j in lagrangian.terms]
+        columns.append(([2], []))
+        size = max(len(part) for column in columns for part in column)
+        u, v = (
+            tuple(zip(*(part + [0] * (size - len(part)) for part in parts)))
+            for parts in zip(*columns)
+        )
+        weights = [i + 2 * j - 2 for i, j in lagrangian.terms] + [-3]
+        coefficients = (*lagrangian.terms.values(), lagrangian.pressure)
+        return ResidualRows(coefficients, tuple(weights), u, v)
+
+    def at_ratio(self, ratio: Fraction | None) -> list[list[int]]:
+        """The integer rows num U + den V at rho = num / den; None reads U alone."""
+        num, den = (1, 0) if ratio is None else (ratio.numerator, ratio.denominator)
+        return [[num * x + den * y for x, y in zip(ur, vr)] for ur, vr in zip(self.u, self.v)]
+
+    def evaluate(self, t: ExactTorus) -> list[list[Fraction]]:
+        """The actual rows on t: r^(p - 3 - w_k) (U_pk + V_pk / rho) at column k."""
+        ratio = t.ratio
+        weights = self.weights
+        exponents = range(-3 - max(weights), len(self.u) - 2 - min(weights))
+        factor = {e: t.r**e / ratio.numerator for e in exponents}
+        return [
+            [s * factor[p - 3 - w] for s, w in zip(row, weights)]
+            for p, row in enumerate(self.at_ratio(ratio))
+        ]
 
 
 def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
@@ -234,15 +287,12 @@ def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
     """
     if not lagrangian.unknowns:
         raise ValueError("el_system expects at least one unknown coefficient")
-    operators = _torus_operators(t)
-    weighted = [(c, _column(operators, i, j)) for (i, j), c in lagrangian.terms.items()]
-    weighted.append((lagrangian.pressure, HPoly.const(2)))
+    residual = ResidualRows.of(lagrangian)
     rows = []
-    for power in range(max(len(column.coeffs) for _, column in weighted)):
+    for values in residual.evaluate(t):
         terms: dict[str, Fraction] = {}
         constant = Fraction(0)
-        for c, column in weighted:
-            value = column.coefficient(power)
+        for c, value in zip(residual.coefficients, values):
             if _is_unknown(c):
                 terms[c] = terms.get(c, Fraction(0)) + value
             else:
@@ -260,11 +310,11 @@ def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
     zero polynomial.
     """
     lagrangian._require_numeric()
-    operators = _torus_operators(t)
-    residual = HPoly.const(2 * lagrangian.pressure)
-    for (i, j), c in lagrangian.terms.items():
-        residual = residual + _column(operators, i, j).scale(c)
-    return residual
+    residual = ResidualRows.of(lagrangian)
+    return HPoly.of(
+        sum((c * value for c, value in zip(residual.coefficients, values)), Fraction(0))
+        for values in residual.evaluate(t)
+    )
 
 
 def el_residual_numeric_scaled(

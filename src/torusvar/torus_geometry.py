@@ -133,14 +133,15 @@ def suggest_grid(t: TorusShape, base: int = DEFAULT_GRID, tail: float = 1e-14) -
 
     Fields on the torus are analytic with Fourier modes decaying like q**k,
     q = r / (a + sqrt(a^2 - r^2)); aspect ratios close to 1 decay slowly and
-    need more than the default grid.  Returns the smallest power-of-two
-    multiple of ``base`` whose Nyquist mode is below ``tail``.
+    need more than the default grid.  The residual applies two derivatives,
+    which multiply mode k by k**2, so this returns the smallest power-of-two
+    multiple of ``base`` whose Nyquist mode k = N/2 has k**2 q**k below
+    ``tail``.
     """
     s = t.a / t.r
     q = 1.0 / (s + math.sqrt(s * s - 1.0))
-    needed = 2.0 * math.log(tail) / math.log(q)
     n = base
-    while n < needed:
+    while (n / 2) ** 2 * q ** (n / 2) >= tail:
         n *= 2
     return n
 

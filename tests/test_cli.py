@@ -43,6 +43,35 @@ def test_solve_reduced_terms_recovers_constraint(capsys):
     assert "constraint a^2/r^2 = 12/11" in out
 
 
+@pytest.mark.parametrize(
+    "degree, terms, kterms, a2, r",
+    [("3", "K3", ((0, 3),), "3", "1"), ("2", "HK,H3K", ((1, 1), (3, 1)), "27/4", "3/2")],
+)
+def test_solve_terms_longer_than_the_pure_family(capsys, degree, terms, kterms, a2, r):
+    # K^3 in degree 3 and H^3 K in degree 2 reach higher powers of H than the
+    # pure-H rows; the printed family must be the solution of every row
+    from torusvar.critical_solver import _pivot_order, family_lagrangian
+    from torusvar.exact_algebra import solve_linear_system
+    from torusvar.shape_equation import el_system
+
+    code, out = run(
+        capsys, "solve", "--degree", degree, "--with-gauss", "--terms", terms,
+        "--a2", a2, "--r", r, "--format", "json",
+    )
+    assert code == 0
+    printed = json.loads(out)["coefficients"]
+    n = int(degree)
+    torus = ExactTorus(parse_fraction(a2), parse_fraction(r))
+    system = el_system(torus, family_lagrangian(n, kterms))
+    direct = solve_linear_system(system.rows, system.unknowns, _pivot_order(n, len(kterms)))
+    assert set(printed) == set(direct.assignments)
+    for name, form in direct.assignments.items():
+        expected = {free: str(c) for free, c in form.terms.items()}
+        if form.constant:
+            expected["const"] = str(form.constant)
+        assert printed[name] == expected, name
+
+
 def test_energy_command_value(capsys):
     code, out = run(capsys, "energy", "--degree", "2", "--ratio", "2", "--r", "1")
     assert code == 0
@@ -55,6 +84,27 @@ def test_verify_command_autoselects_a_sufficient_grid(capsys):
     code, out = run(capsys, "verify", "--degree", "6", "--r", "1")
     assert code == 0
     assert "exact residual zero: True" in out
+
+
+def test_verify_resolves_the_degree_eight_ratio(capsys):
+    # a^2/r^2 = 56/55 sits close to 1; the residual's two derivatives weight
+    # the Nyquist mode by k^2, so the suggested grid must cover that as well
+    code, out = run(capsys, "verify", "--degree", "8", "--r", "1")
+    assert code == 0
+    assert "exact residual zero: True" in out
+
+
+@pytest.mark.parametrize(
+    "extra, grid, source",
+    [([], 512, "suggest_grid"), (["--grid", "1024"], 1024, "--grid")],
+)
+def test_verify_json_reports_the_grid_used(capsys, extra, grid, source):
+    code, out = run(capsys, "verify", "--degree", "6", "--r", "1", "--format", "json", *extra)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["diagnostics"] == {"grid": grid, "grid_source": source}
+    # the inputs still echo the command line, null when the grid was chosen
+    assert payload["inputs"]["grid"] == (grid if extra else None)
 
 
 def test_identities_command(capsys):

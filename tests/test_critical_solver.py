@@ -14,7 +14,7 @@ from torusvar.critical_solver import (
     theorem_kterms,
     verify_solution,
 )
-from torusvar.exact_algebra import LinearForm
+from torusvar.exact_algebra import LinearForm, solve_linear_system
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import Lagrangian
 
@@ -377,12 +377,39 @@ def test_first_order_system_kernel_is_the_one_dimensional_family():
     for r in (Fraction(1), Fraction(2)):
         torus = ExactTorus(3 * r * r, r)
         system = el_system(torus, family_lagrangian(1))
-        rows = [row for _, row in system.nonzero_rows()]
-        basis = nullspace(rows, ["a1", "a2", "p"])
+        basis = nullspace(system.rows, ["a1", "a2", "p"])
         if r == 1:
             assert basis == [(1, -1, -1)]
         else:
             assert basis == [(4, -2, -1)]
+
+
+def test_family_solve_matches_the_fraction_route():
+    # the solver reads each family once as integer rows over unknowns
+    # normalized by r^-(i+2j-2) (p by r^3) and scales the assignments back at
+    # the end; with the same pivot order, solving the Fraction rows of
+    # el_system on the torus directly must give the same free parameters and
+    # assignments.  The K terms with i + j >= n have columns longer than the
+    # n + 2 rows of the pure-H family.
+    from torusvar.critical_solver import _pivot_order
+    from torusvar.shape_equation import el_system
+
+    families = [(n, ()) for n in range(2, 9)] + [(n, theorem_kterms(n)) for n in range(4, 8)]
+    families += [(4, ((0, 2), (1, 1))), (2, ((0, 2),)), (3, ((0, 3),)), (3, ((2, 1), (1, 2)))]
+    families += [(2, ((1, 1), (2, 1))), (2, ((1, 1), (1, 2))), (2, ((4, 1), (0, 1)))]
+    for n, kterms in families:
+        lagrangian = family_lagrangian(n, kterms)
+        for ratio, r in ((3, 1), (Fraction(6, 5), Fraction(17, 16)), (Fraction(25, 8), Fraction(3, 2))):
+            if kterms:
+                report = solve_with_gauss(n, r, kterms, ratio * r * r)
+            else:
+                report = solve_pure_h(n, r)
+            torus = report.exact_torus()
+            system = el_system(torus, lagrangian)
+            direct = solve_linear_system(system.rows, system.unknowns, _pivot_order(n, len(kterms)))
+            assert report.consistent and direct.consistent
+            assert report.free_parameters == direct.free, (n, kterms, r)
+            assert report.assignments == direct.assignments, (n, kterms, r)
 
 
 def test_report_instantiates_numeric_lagrangians():

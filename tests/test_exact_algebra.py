@@ -10,6 +10,7 @@ from torusvar.exact_algebra import (
     nullspace,
     parse_fraction,
     solve_linear_system,
+    solve_rows,
 )
 
 
@@ -173,3 +174,23 @@ def test_fraction_parsing_and_formatting():
         parse_fraction("1/0")
     with pytest.raises(ValueError):
         parse_fraction("abc")
+
+
+def test_integer_rows_solve_like_linear_forms():
+    # solve_rows is the routine behind solve_linear_system; on the integer
+    # vectors of the same equations it returns the same solution, zero rows
+    # keep their index, and every free unknown is assigned to itself
+    rng = random.Random(41)
+    unknowns = ["x", "y", "z", "w"]
+    for _ in range(40):
+        vectors = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(rng.randint(1, 4))]
+        vectors.insert(rng.randint(0, len(vectors)), [0] * 5)
+        forms = [LinearForm(dict(zip(unknowns, vec[:-1])), vec[-1]) for vec in vectors]
+        order = rng.sample(unknowns, 4)
+        from_forms = solve_linear_system(forms, unknowns, order)
+        from_ints = solve_rows(vectors, unknowns, order)
+        assert from_ints == from_forms
+        for name in from_ints.free:
+            assert from_ints.assignments[name] == LinearForm.variable(name)
+        assert set(from_ints.assignments) == set(unknowns)
+        assert all(vectors[i][-1] != 0 for i in from_ints.offending_rows)

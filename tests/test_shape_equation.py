@@ -14,8 +14,10 @@ from torusvar.shape_equation import (
     el_residual_numeric_scaled,
     el_system,
     helfrich_lagrangian,
+    residual_column,
     sphere_residual,
 )
+from torusvar.torus_geometry import curvatures, grid_nodes, suggest_grid
 
 CLIFFORD = ExactTorus(Fraction(2), 1)
 
@@ -85,6 +87,33 @@ def test_exact_residual_matches_grid_only_route():
         assert np.max(np.abs(exact - grid[idx])) / scale < 1e-8
 
 
+@pytest.mark.parametrize(
+    "t",
+    [
+        ExactTorus(3 * Fraction(17, 16) ** 2, Fraction(17, 16)),
+        # the degree-8 ratio 56/55, close to 1
+        ExactTorus(Fraction(56, 55) * Fraction(9, 4), Fraction(3, 2)),
+    ],
+)
+def test_integer_columns_match_the_grid_residual(t):
+    # the table read by hand, r^-(i+2j+1) sum_p (U_p + V_p / rho) (r H)^p,
+    # against the residual of E = H^i K^j built from spectral operators only
+    n = suggest_grid(t.to_shape())
+    h, _ = curvatures(t.to_shape(), grid_nodes(n))
+    x = float(t.r) * h
+    for i in range(13):
+        for j in range((12 - i) // 2 + 1):
+            u, v = residual_column(i, j)
+            column = np.zeros_like(h)
+            for p in reversed(range(max(len(u), len(v)))):
+                up = u[p] if p < len(u) else 0
+                vp = v[p] if p < len(v) else 0
+                column = column * x + float(up + vp * t.r2 / t.a2)
+            column /= float(t.r) ** (i + 2 * j + 1)
+            grid, scale = el_residual_numeric_scaled(t.to_shape(), Lagrangian({(i, j): 1}), n)
+            assert np.max(np.abs(column - grid)) < 1e-9 * scale, (i, j)
+
+
 def test_residual_is_additive_in_lagrangian_and_pressure():
     rng = random.Random(13)
     for t in random_exact_tori(3, seed=17):
@@ -130,8 +159,8 @@ def test_top_row_reduces_to_the_leading_coefficient_equation():
 
 
 def test_rows_are_affine_in_inverse_a_squared():
-    # the solver reads a family's rows at fixed r as U + V / a^2 from two
-    # assemblies; the rows at any third a^2 must follow from the same two
+    # at fixed r every row is U + V / a^2, so the rows at any third a^2 must
+    # follow from those at two
     r = Fraction(17, 16)
     s1, s2, s3 = 3 * r * r, Fraction(7, 2) * r * r, Fraction(11, 5) * r * r
     weight = (1 / s3 - 1 / s2) / (1 / s1 - 1 / s2)

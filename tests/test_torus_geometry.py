@@ -15,6 +15,7 @@ from torusvar.torus_geometry import (
     grid_nodes,
     lb_numeric,
     spectral_derivative,
+    suggest_grid,
 )
 
 T21 = TorusShape(a=2.0, r=1.0)
@@ -175,3 +176,18 @@ def test_exact_square_construction():
     t = TorusShape.from_squares(Fraction(6, 5), 1)
     assert t.a2 == Fraction(6, 5)
     assert t.a == pytest.approx(math.sqrt(1.2), rel=1e-15)
+
+
+def test_suggest_grid_covers_two_derivatives_at_nyquist():
+    # the residual weights mode k by k^2, so the Nyquist mode k = N/2 of the
+    # chosen grid must have k^2 q^k below the tail, and the grid below it not
+    for ratio in (Fraction(3), Fraction(12, 11), Fraction(56, 55), Fraction(30, 29)):
+        t = TorusShape.from_ratio(ratio, Fraction(3, 2))
+        s = math.sqrt(float(ratio))
+        q = 1.0 / (s + math.sqrt(s * s - 1.0))
+        n = suggest_grid(t)
+        assert n % 256 == 0 and (n // 256) & (n // 256 - 1) == 0
+        assert (n / 2) ** 2 * q ** (n / 2) < 1e-14
+        if n > 256:
+            assert (n / 4) ** 2 * q ** (n / 4) >= 1e-14
+    assert suggest_grid(TorusShape.from_ratio(Fraction(56, 55), 1)) == 1024
