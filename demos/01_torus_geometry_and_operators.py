@@ -11,7 +11,6 @@ import numpy as np
 
 from torusvar import (
     ExactTorus,
-    SurfaceGrid,
     TorusShape,
     area_volume,
     curvatures,
@@ -41,7 +40,7 @@ h, _ = curvatures(t, u)
 
 lap_poly = laplacian_h(exact)
 print(f"\nlaplacian(H) as a polynomial in H: {[str(c) for c in lap_poly.coeffs]}")
-lap_grid = lb_numeric(t, SurfaceGrid(h)).values
+lap_grid = lb_numeric(t, h)
 err = max(abs(lap_poly.eval_float(x) - y) for x, y in zip(h, lap_grid))
 print(f"  max deviation from the spectral operator: {err:.3e}")
 
@@ -49,6 +48,6 @@ grad_poly = grad_h_squared(exact)
 print(f"|grad H|^2 as a polynomial in H:  {[str(c) for c in grad_poly.coeffs]}")
 
 dbar_poly_ = divbar_h(exact)
-dbar_grid = divbar_numeric(t, SurfaceGrid(h)).values
+dbar_grid = divbar_numeric(t, h)
 err = max(abs(dbar_poly_.eval_float(x) - y) for x, y in zip(h, dbar_grid))
 print(f"div_bar(H) polynomial degree {dbar_poly_.degree}, grid deviation {err:.3e}")

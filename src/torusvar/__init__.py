@@ -34,7 +34,6 @@ from .energetics import (
 from .exact_algebra import HPoly, LinearForm, nullspace, solve_linear_system
 from .h_calculus import (
     ExactTorus,
-    laplacian_pow_leading_coeffs,
     divbar_bilinear,
     divbar_h,
     divbar_k,
@@ -56,7 +55,6 @@ from .shape_equation import (
 from .torus_geometry import (
     AreaVolume,
     suggest_grid,
-    SurfaceGrid,
     TorusShape,
     area_volume,
     curvatures,
@@ -72,7 +70,6 @@ __all__ = [
     "nullspace",
     "solve_linear_system",
     "TorusShape",
-    "SurfaceGrid",
     "AreaVolume",
     "curvatures",
     "fundamental_forms",
@@ -84,7 +81,6 @@ __all__ = [
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
-    "laplacian_pow_leading_coeffs",
     "laplacian_poly",
     "divbar_h",
     "divbar_k",

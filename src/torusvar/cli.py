@@ -29,7 +29,7 @@ from .energetics import Perturbation, curvature_energy, second_variation
 from .exact_algebra import HPoly, LinearForm, format_fraction, parse_fraction
 from .h_calculus import ExactTorus
 from .shape_equation import Lagrangian
-from .torus_geometry import DEFAULT_GRID, SurfaceGrid, TorusShape, grid_nodes
+from .torus_geometry import DEFAULT_GRID, TorusShape, grid_nodes
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -311,35 +311,31 @@ def cmd_energy(args) -> int:
 def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
     shape = torus.to_shape()
     u = grid_nodes(n)
-    h, _ = torus_geometry.curvatures(shape, u)
-    h_grid = SurfaceGrid(h)
+    h, k_vals = torus_geometry.curvatures(shape, u)
 
     def compare(closed: HPoly, grid_values: np.ndarray) -> float:
-        exact = np.array([closed.eval_float(x) for x in h])
+        exact = closed.eval_float(h)
         scale = max(float(np.max(np.abs(grid_values))), 1.0)
         return float(np.max(np.abs(exact - grid_values))) / scale
 
     checks = []
-    checks.append(("laplacian(H)", compare(h_calculus.laplacian_h(torus), torus_geometry.lb_numeric(shape, h_grid).values)))
+    checks.append(("laplacian(H)", compare(h_calculus.laplacian_h(torus), torus_geometry.lb_numeric(shape, h))))
     df = torus_geometry.spectral_derivative(h)
     checks.append(("|grad H|^2", compare(h_calculus.grad_h_squared(torus), df * df / float(torus.r) ** 2)))
     for k in range(2, 7):
-        grid_k = SurfaceGrid(h**k)
         checks.append(
-            (f"laplacian(H^{k})", compare(h_calculus.laplacian_poly(torus, HPoly.monomial(k)), torus_geometry.lb_numeric(shape, grid_k).values))
+            (f"laplacian(H^{k})", compare(h_calculus.laplacian_poly(torus, HPoly.monomial(k)), torus_geometry.lb_numeric(shape, h**k)))
         )
-    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), torus_geometry.divbar_numeric(shape, h_grid).values)))
-    k_vals = torus_geometry.curvatures(shape, u)[1]
-    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), torus_geometry.divbar_numeric(shape, SurfaceGrid(k_vals)).values)))
+    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), torus_geometry.divbar_numeric(shape, h))))
+    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), torus_geometry.divbar_numeric(shape, k_vals))))
     checks.append(("bilinear term", compare(h_calculus.divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * df * df)))
     for k in range(2, 6):
-        grid_k = SurfaceGrid(h**k)
         checks.append(
             (
                 f"div_bar(H^{k})",
                 compare(
                     h_calculus.divbar_poly(torus, HPoly.monomial(k)),
-                    torus_geometry.divbar_numeric(shape, grid_k).values,
+                    torus_geometry.divbar_numeric(shape, h**k),
                 ),
             )
         )

@@ -168,7 +168,12 @@ class SolutionReport:
 
 def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction, tuple[str, ...]] | None:
     """Product of radii factors controlling the generic fourth/fifth order
-    K-family parametrization, with the names of any factors that vanish."""
+    K-family parametrization, with the names of any factors that vanish.
+
+    The n = 4 product (a^2-2r^2)(a^2-r^2)(5a^2-6r^2) is where the bound set
+    {a2, a3, a4, a8, p} loses rank.  The set this package binds with the
+    default K terms, {p, a8, a7, a6, a5}, loses rank only at a^2 = 2r^2.
+    """
     a2, r2 = Fraction(a2), Fraction(r2)
     if n == 4:
         factors = [

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from .shape_equation import Lagrangian
 from .torus_geometry import (
     DEFAULT_GRID,
-    SurfaceGrid,
     TorusShape,
+    _area_integral,
     area_volume,
     curvatures,
     divbar_numeric,
@@ -77,10 +76,6 @@ class Perturbation:
                     raise ValueError("mode indices must be nonnegative")
 
     @property
-    def max_mode(self) -> int:
-        return max([*self.cos_modes, *self.sin_modes, 0])
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.cos_modes.values()) and not any(self.sin_modes.values())
 
@@ -128,13 +123,6 @@ class MembraneDiagnostics:
     exact_constant: float
 
 
-def _area_integral(t: TorusShape, integrand: np.ndarray, n: int) -> float:
-    u = grid_nodes(n)
-    w = t.a + t.r * np.cos(u)
-    du = 2.0 * math.pi / n
-    return 2.0 * math.pi * float(np.sum(integrand * t.r * w)) * du
-
-
 def curvature_energy(
     t: TorusShape, lagrangian: Lagrangian, pressure: float = 0.0, n: int = DEFAULT_GRID
 ) -> EnergyReport:
@@ -172,22 +160,6 @@ def willmore_scan(
     return [(t, curvature_energy(t, bending, 0.0, n).area_term) for t in shapes]
 
 
-def _lagrangian_h_profile(lagrangian: Lagrangian) -> tuple[dict[int, Fraction], dict[int, Fraction], dict[int, Fraction]]:
-    if any(m != 0 for (_, m) in lagrangian.terms):
-        raise ValueError("second variation is implemented for H-only Lagrangians")
-    e = {k: Fraction(c) for (k, _), c in lagrangian.terms.items()}
-    e1 = {k - 1: k * c for k, c in e.items() if k >= 1}
-    e2 = {k - 2: k * (k - 1) * c for k, c in e.items() if k >= 2}
-    return e, e1, e2
-
-
-def _poly_at(coeffs: dict[int, Fraction], h: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(h)
-    for k, c in coeffs.items():
-        total = total + float(c) * h**k
-    return total
-
-
 def second_variation(
     t: TorusShape,
     lagrangian: Lagrangian,
@@ -206,7 +178,9 @@ def second_variation(
     """
     if v_mode < 0:
         raise ValueError("v_mode must be nonnegative")
-    e, e1, e2 = _lagrangian_h_profile(lagrangian)
+    if any(j for (_, j) in lagrangian.terms):
+        raise ValueError("second variation is implemented for H-only Lagrangians")
+    e_h = lagrangian.partial_h()
 
     u = grid_nodes(n)
     h, k = curvatures(t, u)
@@ -216,21 +190,20 @@ def second_variation(
     k_h_uu = k / t.r  # K h^{uu}
     k_h_vv = 1.0 / (t.r * w**2)  # K h^{vv}, finite although h22 vanishes
 
-    e_val = _poly_at(e, h)
-    de = _poly_at(e1, h)
-    d2e = _poly_at(e2, h)
+    e_val = lagrangian.eval_at(h, k)
+    de = e_h.eval_at(h, k)
+    d2e = e_h.partial_h().eval_at(h, k)
     p = float(pressure)
 
     big_e1 = (2.0 * h**2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
     big_e2 = (2.0 * h**2 - k) * d2e + 2.0 * h * de - e_val
 
     f = omega.values(u)
-    hint = omega.max_mode or None
     df = spectral_derivative(f)
     m2 = float(v_mode * v_mode)
 
-    lap_f = lb_numeric(t, SurfaceGrid(f, hint)).values - m2 * g_vv * f
-    div_tilde_f = divbar_numeric(t, SurfaceGrid(f, hint)).values - m2 * k_h_vv * f
+    lap_f = lb_numeric(t, f) - m2 * g_vv * f
+    div_tilde_f = divbar_numeric(t, f) - m2 * k_h_vv * f
     grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
     grad_hf_grad_f = g_uu * spectral_derivative(h * f) * df + m2 * g_vv * h * f**2
 

@@ -148,6 +148,7 @@ class HPoly:
         return acc
 
     def eval_float(self, x: float) -> float:
+        """Horner evaluation in floats; x may be a numpy array of samples."""
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)

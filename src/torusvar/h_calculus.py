@@ -41,7 +41,6 @@ __all__ = [
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
-    "laplacian_pow_leading_coeffs",
     "divbar_h",
     "divbar_k",
     "divbar_bilinear",
@@ -118,20 +117,6 @@ def grad_h_squared(t: ExactTorus) -> HPoly:
     critical values H(0) and H(pi) of the mean curvature, which pins it.
     """
     return _on_torus(t, GRAD_H_SQUARED, 4)
-
-
-def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fraction]:
-    """The two leading coefficients of laplacian_poly(t, H**n) in closed form.
-
-    For n >= 2:  [H^(n+2)] = 4 n^2 (r^2 - a^2) / a^2  and
-    [H^(n+1)] = 2 ((6 n^2 - n) a^2 - (8 n^2 - 2 n) r^2) / (a^2 r).
-    """
-    if n < 2:
-        raise ValueError("leading-coefficient closed form needs n >= 2")
-    a2, r, r2 = t.a2, t.r, t.r2
-    top = Fraction(4 * n * n) * (-a2 + r2) / a2
-    sub = Fraction(2) * ((6 * n * n - n) * a2 - (8 * n * n - 2 * n) * r2) / (a2 * r)
-    return top, sub
 
 
 def divbar_h(t: ExactTorus) -> HPoly:

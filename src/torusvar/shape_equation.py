@@ -31,7 +31,7 @@ import numpy as np
 from . import h_calculus, torus_geometry
 from .exact_algebra import HPoly, LinearForm
 from .h_calculus import ExactTorus
-from .torus_geometry import DEFAULT_GRID, SurfaceGrid, TorusShape, grid_nodes
+from .torus_geometry import DEFAULT_GRID, TorusShape, grid_nodes
 
 __all__ = [
     "Coefficient",
@@ -107,21 +107,24 @@ class Lagrangian:
         return Lagrangian(terms, pressure)
 
     def eval_at(self, h, k):
-        """Pointwise numeric value of E (floats or numpy arrays)."""
+        """Pointwise numeric value of E on samples h, k of H and K (numpy
+        arrays, or floats); an empty Lagrangian gives zeros shaped like h."""
         self._require_numeric()
-        total = 0.0
+        total = np.zeros_like(h, dtype=float)
         for (i, j), c in self.terms.items():
             total = total + float(c) * h**i * k**j
         return total
 
     # distinct terms have distinct partials, so nothing needs collecting
-    def partial_h(self) -> dict[tuple[int, int], Fraction]:
+    def partial_h(self) -> "Lagrangian":
+        """dE/dH, with H and K independent, as a Lagrangian of zero pressure."""
         self._require_numeric()
-        return {(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1}
+        return Lagrangian({(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1})
 
-    def partial_k(self) -> dict[tuple[int, int], Fraction]:
+    def partial_k(self) -> "Lagrangian":
+        """dE/dK, with H and K independent, as a Lagrangian of zero pressure."""
         self._require_numeric()
-        return {(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1}
+        return Lagrangian({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})
 
     def _require_numeric(self):
         if not self.is_numeric:
@@ -329,19 +332,12 @@ def el_residual_numeric_scaled(
     lagrangian._require_numeric()
     u = grid_nodes(n)
     h, k = torus_geometry.curvatures(t, u)
-
-    def field_values(partial: Mapping[tuple[int, int], Fraction]) -> np.ndarray:
-        total = np.zeros_like(h)
-        for (i, j), c in partial.items():
-            total = total + float(c) * h**i * k**j
-        return total
-
-    eh = field_values(lagrangian.partial_h())
-    ek = field_values(lagrangian.partial_k())
+    eh = lagrangian.partial_h().eval_at(h, k)
+    ek = lagrangian.partial_k().eval_at(h, k)
     density = lagrangian.eval_at(h, k)
 
-    lap_eh = torus_geometry.lb_numeric(t, SurfaceGrid(eh)).values
-    dbar_ek = torus_geometry.divbar_numeric(t, SurfaceGrid(ek)).values
+    lap_eh = torus_geometry.lb_numeric(t, eh)
+    dbar_ek = torus_geometry.divbar_numeric(t, ek)
     pressure = float(lagrangian.pressure)
     terms = (
         lap_eh,
@@ -375,7 +371,7 @@ def sphere_residual(radius: Fraction, lagrangian: Lagrangian, pressure: Fraction
     def at(partial: Mapping[tuple[int, int], Fraction]) -> Fraction:
         return sum((c * h**i * k**j for (i, j), c in partial.items()), Fraction(0))
 
-    eh = at(lagrangian.partial_h())
-    ek = at(lagrangian.partial_k())
-    density = at(dict(lagrangian.terms))
+    eh = at(lagrangian.partial_h().terms)
+    ek = at(lagrangian.partial_k().terms)
+    density = at(lagrangian.terms)
     return (4 * h * h - 2 * k) * eh + 2 * (2 * k * h) * ek - 4 * h * density + 2 * Fraction(pressure)

@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "TorusShape",
-    "SurfaceGrid",
     "AreaVolume",
     "grid_nodes",
     "curvatures",
@@ -47,9 +46,9 @@ __all__ = [
 
 DEFAULT_GRID = 256
 
-# relative spectral-tail energy above which a sampled field is considered
-# under-resolved on its grid
-_TAIL_THRESHOLD = 1e-8
+# largest grid suggest_grid returns (512 KiB per float field); aspect ratios
+# that need more are rejected rather than left to allocate GB-sized grids
+MAX_GRID = 65536
 
 
 @dataclass(frozen=True)
@@ -85,35 +84,6 @@ class TorusShape:
 
 
 @dataclass(frozen=True)
-class SurfaceGrid:
-    """Samples of a v-independent scalar field at N equispaced u nodes.
-
-    ``degree_hint`` records the trigonometric degree of the sampled field
-    when the caller knows it (e.g. a finite Fourier perturbation), letting
-    the operators flag aliased inputs that a spectral tail check cannot see.
-    """
-
-    values: np.ndarray
-    degree_hint: int | None = None
-    accuracy_warning: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        n = values.shape[0]
-        if n < 16 or n % 2:
-            raise ValueError(f"grid size must be even and >= 16, got {n}")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @staticmethod
-    def from_function(func, n: int = DEFAULT_GRID, degree_hint: int | None = None) -> "SurfaceGrid":
-        return SurfaceGrid(np.asarray(func(grid_nodes(n)), dtype=float), degree_hint)
-
-
-@dataclass(frozen=True)
 class AreaVolume:
     """Closed-form and quadrature area/volume, plus the reduced volume."""
 
@@ -136,13 +106,17 @@ def suggest_grid(t: TorusShape, base: int = DEFAULT_GRID, tail: float = 1e-14) -
     need more than the default grid.  The residual applies two derivatives,
     which multiply mode k by k**2, so this returns the smallest power-of-two
     multiple of ``base`` whose Nyquist mode k = N/2 has k**2 q**k below
-    ``tail``.
+    ``tail``.  A torus that needs more than ``MAX_GRID`` points raises
+    ValueError before any grid is allocated.
     """
     s = t.a / t.r
     q = 1.0 / (s + math.sqrt(s * s - 1.0))
     n = base
     while (n / 2) ** 2 * q ** (n / 2) >= tail:
         n *= 2
+    if n > MAX_GRID:
+        ratio = t.a2 / t.r2 if t.a2 is not None else t.ratio
+        raise ValueError(f"a^2/r^2 = {ratio} needs a grid of {n} points, above the cap of {MAX_GRID}")
     return n
 
 
@@ -174,43 +148,39 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
-def _tail_fraction(values: np.ndarray) -> float:
-    spec = np.abs(np.fft.rfft(values))
-    total = float(np.sum(spec**2))
-    if total == 0.0:
-        return 0.0
-    tail = spec[int(0.9 * (spec.shape[0] - 1)) :]
-    return float(np.sum(tail**2)) / total
-
-
-def _resolution_warning(f: SurfaceGrid) -> bool:
-    if f.degree_hint is not None and f.n < 2 * f.degree_hint + 2:
-        return True
-    return _tail_fraction(f.values) > _TAIL_THRESHOLD
-
-
-def _divergence_form(t: TorusShape, f: SurfaceGrid, kernel: np.ndarray) -> SurfaceGrid:
-    u = grid_nodes(f.n)
+def _divergence_form(t: TorusShape, values: np.ndarray, kernel) -> np.ndarray:
+    """(1/(r**2 w)) d/du (kernel(u, w) df/du) for the samples f of a field
+    at the grid nodes."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    if n < 16 or n % 2:
+        raise ValueError(f"grid size must be even and >= 16, got {n}")
+    u = grid_nodes(n)
     w = t.a + t.r * np.cos(u)
-    inner = kernel * spectral_derivative(f.values)
-    out = spectral_derivative(inner) / (t.r**2 * w)
-    return SurfaceGrid(out, None, f.accuracy_warning or _resolution_warning(f))
+    inner = kernel(u, w) * spectral_derivative(values)
+    return spectral_derivative(inner) / (t.r**2 * w)
 
 
-def lb_numeric(t: TorusShape, f: SurfaceGrid) -> SurfaceGrid:
+def lb_numeric(t: TorusShape, values: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami of a v-independent field, spectrally differenced."""
-    u = grid_nodes(f.n)
-    return _divergence_form(t, f, t.a + t.r * np.cos(u))
+    return _divergence_form(t, values, lambda u, w: w)
 
 
-def divbar_numeric(t: TorusShape, f: SurfaceGrid) -> SurfaceGrid:
+def divbar_numeric(t: TorusShape, values: np.ndarray) -> np.ndarray:
     """Second-fundamental-form divergence operator on a v-independent field.
 
     The kernel is sqrt(g) * K * h^{uu} = cos(u) / r, written here with the
     common 1/r factored into the outer division.
     """
-    u = grid_nodes(f.n)
-    return _divergence_form(t, f, np.cos(u))
+    return _divergence_form(t, values, lambda u, w: np.cos(u))
+
+
+def _area_integral(t: TorusShape, integrand, n: int) -> float:
+    """Periodic-trapezoid quadrature of integrand dA, with the exact 2 pi of v."""
+    u = grid_nodes(n)
+    w = t.a + t.r * np.cos(u)
+    du = 2.0 * math.pi / n
+    return 2.0 * math.pi * float(np.sum(integrand * t.r * w)) * du
 
 
 def area_volume(t: TorusShape, n: int = DEFAULT_GRID) -> AreaVolume:
@@ -224,7 +194,7 @@ def area_volume(t: TorusShape, n: int = DEFAULT_GRID) -> AreaVolume:
     u = grid_nodes(n)
     w = t.a + t.r * np.cos(u)
     du = 2.0 * np.pi / n
-    area_q = 2.0 * np.pi * float(np.sum(t.r * w)) * du
+    area_q = _area_integral(t, 1.0, n)
     volume_q = (2.0 * np.pi / 3.0) * float(np.sum((t.a * np.cos(u) + t.r) * t.r * w)) * du
     area = 4.0 * math.pi**2 * t.a * t.r
     volume = 2.0 * math.pi**2 * t.a * t.r**2

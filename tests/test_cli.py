@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,23 @@ def test_verify_json_reports_the_grid_used(capsys, extra, grid, source):
     assert payload["diagnostics"] == {"grid": grid, "grid_source": source}
     # the inputs still echo the command line, null when the grid was chosen
     assert payload["inputs"]["grid"] == (grid if extra else None)
+
+
+@pytest.mark.parametrize("a2", ["1000001/1000000", "1000000001/1000000000"])
+def test_verify_rejects_a_ratio_beyond_the_grid_cap(capsys, a2):
+    # 1 + 1e-6 would need grid 131072 and 1 + 1e-9 grid 4194304; verify
+    # exits as bad input, naming the ratio, before any grid is allocated
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--degree", "4", "--with-gauss", "--a2", a2, "--r", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 4
+    assert f"a^2/r^2 = {a2} needs a grid of" in captured.err
+    assert captured.out == ""
+    assert peak < 1_000_000
 
 
 def test_identities_command(capsys):

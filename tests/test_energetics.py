@@ -224,7 +224,6 @@ def test_measured_vesicle_ratio():
 
 def test_perturbation_algebra():
     w = Perturbation({1: 1.0}, {2: -0.5})
-    assert w.max_mode == 2
     assert not w.is_zero
     assert Perturbation().is_zero
     combined = w + w.scale(-1.0)

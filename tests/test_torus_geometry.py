@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusvar.torus_geometry import (
-    SurfaceGrid,
+    MAX_GRID,
     TorusShape,
     area_volume,
     curvatures,
@@ -80,14 +80,13 @@ def test_metric_never_degenerates():
 
 
 def test_laplacian_of_constant_vanishes():
-    out = lb_numeric(T21, SurfaceGrid(np.full(64, 3.7)))
-    assert np.max(np.abs(out.values)) < 1e-12
-    assert not out.accuracy_warning
+    out = lb_numeric(T21, np.full(64, 3.7))
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_divbar_of_constant_vanishes():
-    out = divbar_numeric(T21, SurfaceGrid(np.full(64, -1.25)))
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = divbar_numeric(T21, np.full(64, -1.25))
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_laplacian_of_cos_matches_hand_expansion():
@@ -96,16 +95,16 @@ def test_laplacian_of_cos_matches_hand_expansion():
     u = grid_nodes(256)
     w = 3.0 + np.cos(u)
     expected = (-np.cos(u) * w + np.sin(u) ** 2) / w
-    got = lb_numeric(t, SurfaceGrid.from_function(np.cos, 256, degree_hint=1))
-    assert np.max(np.abs(got.values - expected)) < 1e-10
+    got = lb_numeric(t, np.cos(u))
+    assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_divbar_of_k_is_divbar_of_h_scaled():
     for t in random_tori(3, seed=21):
         u = grid_nodes(256)
         h, k = curvatures(t, u)
-        lhs = divbar_numeric(t, SurfaceGrid(k)).values
-        rhs = divbar_numeric(t, SurfaceGrid(h)).values * (2.0 / t.r)
+        lhs = divbar_numeric(t, k)
+        rhs = divbar_numeric(t, h) * (2.0 / t.r)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -116,7 +115,7 @@ def test_divergence_structure_integrates_to_zero():
         w = t.a + t.r * np.cos(u)
         du = 2.0 * math.pi / 256
         for op in (lb_numeric, divbar_numeric):
-            field = op(t, SurfaceGrid(h**2)).values
+            field = op(t, h**2)
             integral = 2.0 * math.pi * np.sum(field * t.r * w) * du
             scale = max(1.0, float(np.max(np.abs(field))))
             assert abs(integral) < 1e-10 * scale
@@ -130,24 +129,11 @@ def test_spectral_derivative_is_exact_on_trig_polys():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SurfaceGrid(np.zeros(8))
-    with pytest.raises(ValueError):
-        SurfaceGrid(np.zeros(33))
-
-
-def test_accuracy_warning_from_degree_hint():
-    coarse = SurfaceGrid.from_function(lambda u: np.cos(40 * u), 64, degree_hint=40)
-    assert lb_numeric(T21, coarse).accuracy_warning
-    fine = SurfaceGrid.from_function(lambda u: np.cos(40 * u), 256, degree_hint=40)
-    assert not lb_numeric(T21, fine).accuracy_warning
-
-
-def test_accuracy_warning_from_spectral_tail():
-    # a field with a genuinely full spectrum at this resolution
-    u = grid_nodes(32)
-    jagged = 1.0 / (1.0001 - np.cos(15 * u))
-    assert lb_numeric(T21, SurfaceGrid(jagged)).accuracy_warning
+    for op in (lb_numeric, divbar_numeric):
+        with pytest.raises(ValueError, match="even and >= 16, got 8"):
+            op(T21, np.zeros(8))
+        with pytest.raises(ValueError, match="even and >= 16, got 33"):
+            op(T21, np.zeros(33))
 
 
 def test_area_volume_closed_forms():
@@ -191,3 +177,13 @@ def test_suggest_grid_covers_two_derivatives_at_nyquist():
         if n > 256:
             assert (n / 4) ** 2 * q ** (n / 4) >= 1e-14
     assert suggest_grid(TorusShape.from_ratio(Fraction(56, 55), 1)) == 1024
+
+
+def test_suggest_grid_below_the_cap():
+    assert suggest_grid(TorusShape.from_ratio(1 + Fraction(1, 10**5), 1)) == 32768 <= MAX_GRID
+
+
+def test_suggest_grid_rejects_ratios_beyond_the_cap():
+    # the needed grid is found by arithmetic alone; no array is allocated
+    with pytest.raises(ValueError, match=r"a\^2/r\^2 = 1000000001/1000000000 needs a grid of 4194304"):
+        suggest_grid(TorusShape.from_ratio(1 + Fraction(1, 10**9), 1))
