@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -162,8 +163,9 @@ def _solve_from_args(args) -> SolutionReport:
         terms = _parse_terms(args.terms) if args.terms else default_kterms(args.degree)
         a2 = parse_fraction(args.a2) if args.a2 else None
         return solve_with_gauss(args.degree, r, terms, a2)
-    if args.a2:
-        raise ValueError("--a2 only applies together with --with-gauss")
+    for flag, value in (("--a2", args.a2), ("--terms", args.terms)):
+        if value:
+            raise ValueError(f"{flag} only applies together with --with-gauss")
     return solve_pure_h(args.degree, r)
 
 
@@ -392,21 +394,25 @@ def cmd_scan(args) -> int:
 
 
 def _parse_modes(spec: str) -> Perturbation:
-    cos: dict[int, float] = {}
-    sin: dict[int, float] = {}
+    modes: dict[str, dict[int, float]] = {"cos": {}, "sin": {}}
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         name, _, value = token.partition("=")
-        value = value or "1"
-        if name.startswith("cos"):
-            cos[int(name[3:])] = float(value)
-        elif name.startswith("sin"):
-            sin[int(name[3:])] = float(value)
-        else:
-            raise ValueError(f"bad mode {token!r}: expected cosJ=... or sinJ=...")
-    return Perturbation(cos, sin)
+        kind, index = name[:3], name[3:]
+        try:
+            amplitude = float(value or "1")
+            valid = kind in modes and index.isdecimal() and math.isfinite(amplitude)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"bad mode {token!r}: expected cosJ=x or sinJ=x, "
+                "with an integer J >= 0 and a finite number x"
+            )
+        modes[kind][int(index)] = amplitude
+    return Perturbation(modes["cos"], modes["sin"])
 
 
 def cmd_second_variation(args) -> int:

@@ -229,19 +229,16 @@ def _solve_family(
 ) -> SolutionReport:
     """The family at radii (ratio r^2, r), solved on the integer rows
     num U + den V of its unknowns normalized by r^-weight (``ratio`` None
-    reads U alone, for a family whose V part vanishes); r enters only when
-    the assignments are scaled back, c = r^weight c_normalized."""
+    reads U alone, for a family whose V part vanishes); r enters only as the
+    column scales that return the assignments in c = r^weight c_normalized."""
     unknowns = rows.coefficients
     a2 = None if ratio is None else ratio * r * r
     order = _pivot_order(n, len(kterms))
     # no known coefficient, so the constant column is zero, and so is every
     # assignment's constant
-    solution = solve_rows([row + [0] for row in rows.at_ratio(ratio)], unknowns, order)
-    weight = dict(zip(unknowns, rows.weights))
-    assignments = {
-        name: LinearForm({f: c * r ** (weight[name] - weight[f]) for f, c in form.terms.items()})
-        for name, form in solution.assignments.items()
-    }
+    solution = solve_rows(
+        [row + [0] for row in rows.at_ratio(ratio)], unknowns, order, [r**w for w in rows.weights]
+    )
 
     delta = None
     degeneracy = None
@@ -271,7 +268,7 @@ def _solve_family(
         kterms=kterms,
         unknowns=unknowns,
         free_parameters=solution.free,
-        assignments=assignments,
+        assignments=solution.assignments,
         delta=delta,
         degeneracy=degeneracy,
         consistent=solution.consistent,

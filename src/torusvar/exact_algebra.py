@@ -10,7 +10,8 @@ comparison here.  Three layers are provided.
 * ``LinearForm`` -- a sparse linear expression ``sum_i c_i * x_i + const``
   over named unknowns.
 * ``solve_rows`` -- exact solving of rational row vectors, entirely in
-  integers (Bareiss forward elimination, fraction-free back substitution);
+  integers (sparse fraction-free elimination: a pivot touches only the rows
+  with a nonzero entry in its column, and every row is kept coprime);
   ``solve_linear_system`` and ``nullspace`` (``LinearForm`` rows, each read
   as ``form == 0``) and the critical families all go through it.  The
   solved coefficients in the examples of interest reach seven-digit
@@ -242,29 +243,38 @@ class LinearSolution:
     offending_rows: tuple[int, ...] = ()
 
 
-def _cleared(vec: Sequence[Fraction]) -> list[int]:
+def _cleared(vec: Sequence) -> list[int]:
     """The integer multiple of a nonzero rational vector whose entries are
     coprime, with the sign of ``vec``."""
-    denom = lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    common = gcd(*ints)
-    return [v // common for v in ints]
+    if not all(type(v) is int for v in vec):
+        denom = lcm(*(v.denominator for v in vec))
+        vec = [v.numerator * (denom // v.denominator) for v in vec]
+    common = gcd(*vec)
+    return vec if common == 1 else [v // common for v in vec]
 
 
 def solve_rows(
     rows: Sequence[Sequence],
     unknowns: Sequence[str],
     pivot_order: Sequence[str] | None = None,
+    scales: Sequence[Fraction] | None = None,
 ) -> LinearSolution:
     """Solve ``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, exactly.
 
     A row holds rationals (ints or Fractions), one per unknown and the
     constant last; ``offending_rows`` indexes ``rows``.  Columns are offered
     as pivots in ``pivot_order``, so unknowns late in it stay free whenever
-    the rank allows.  Forward elimination is Bareiss over integer-cleared
-    rows; back substitution clears each pivot row of the later pivot columns
-    by cross-multiplication and a gcd division, so each assignment's
-    Fractions are built once, from the reduced integers.
+    the rank allows.  With ``scales``, column l multiplies
+    ``unknowns[l] / scales[l]`` instead, and the assignments are returned in
+    the unknowns themselves.
+
+    Everything runs on coprime integer rows.  Forward elimination is sparse:
+    a pivot updates only the rows with a nonzero entry in its column, each
+    by one cross-multiplication and a division by its content, so zero
+    patterns, pivots and offending rows are those of any Gaussian
+    elimination with the same pivot choice.  Back substitution clears each
+    pivot row of the later pivot columns the same way, and each coefficient
+    of an assignment is one Fraction built from the reduced integers.
     """
     unknowns = list(unknowns)
     # every unknown is offered; a repeated offer finds no pivot, since after
@@ -274,27 +284,23 @@ def solve_rows(
 
     remaining = [(idx, _cleared(vec)) for idx, vec in enumerate(rows) if any(vec)]
     pivots: list[tuple[list[int], int]] = []
-    prev = 1
     for u in order:
         c = col_of[u]
-        sel = next((i for i, (_, vec) in enumerate(remaining) if vec[c] != 0), None)
+        sel = next((i for i, (_, vec) in enumerate(remaining) if vec[c]), None)
         if sel is None:
             continue
         _, pvec = remaining.pop(sel)
-        pval = pvec[c]
+        pivots.append((pvec, c))
         updated = []
         for idx, vec in remaining:
-            # one fraction-free elimination step; the division by the previous
-            # pivot is exact (Sylvester identity)
-            vc = vec[c]
-            vec = [(pval * x - vc * y) // prev for x, y in zip(vec, pvec)]
-            if any(v != 0 for v in vec):
-                updated.append((idx, vec))
+            if vec[c]:
+                vec = _eliminated(vec, pvec, c)
+                if not any(vec):
+                    continue
+            updated.append((idx, vec))
         remaining = updated
-        prev = pval
-        pivots.append((pvec, c))
 
-    offending = tuple(idx for idx, vec in remaining if vec[-1] != 0)
+    offending = tuple(idx for idx, vec in remaining if vec[-1])
     pivot_cols = {c for _, c in pivots}
     free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
 
@@ -302,17 +308,24 @@ def solve_rows(
     for pvec, c in reversed(pivots):
         for qvec, d in reduced:
             if pvec[d]:
-                f, g = qvec[d], pvec[d]
-                pvec = [f * x - g * y for x, y in zip(pvec, qvec)]
-                common = gcd(*pvec)
-                pvec = [x // common for x in pvec]
+                pvec = _eliminated(pvec, qvec, d)
         reduced.append((pvec, c))
 
+    # scale l as an integer pair (num, den); the constant column has scale 1
+    ratios = [(1, 1)] * (len(unknowns) + 1)
+    if scales is not None:
+        ratios[:-1] = [(s.numerator, s.denominator) for s in map(Fraction, scales)]
     forms = {unknowns[l]: LinearForm.variable(unknowns[l]) for l in free_cols}
     for pvec, c in reduced:
-        lead = pvec[c]
-        terms = {unknowns[l]: Fraction(-pvec[l], lead) for l in free_cols if pvec[l]}
-        forms[unknowns[c]] = LinearForm(terms, Fraction(-pvec[-1], lead))
+        # x_c = -(sum_l pvec[l] x_l s_c / s_l + pvec[-1] s_c) / pvec[c]
+        num, den = ratios[c]
+        num, den = -num, den * pvec[c]
+        terms = {
+            unknowns[l]: Fraction(num * pvec[l] * ratios[l][1], den * ratios[l][0])
+            for l in free_cols
+            if pvec[l]
+        }
+        forms[unknowns[c]] = LinearForm(terms, Fraction(num * pvec[-1], den))
 
     return LinearSolution(
         unknowns=tuple(unknowns),
@@ -322,6 +335,19 @@ def solve_rows(
         consistent=not offending,
         offending_rows=offending,
     )
+
+
+def _eliminated(vec: list[int], pvec: list[int], c: int) -> list[int]:
+    """``vec`` cleared of column c by the pivot row ``pvec``, divided by its
+    content: a positive multiple of pvec[c] vec - vec[c] pvec."""
+    f, g = pvec[c], vec[c]
+    common = gcd(f, g)
+    if f < 0:
+        common = -common
+    f, g = f // common, g // common
+    out = [f * x - g * y for x, y in zip(vec, pvec)]
+    common = gcd(*out)
+    return out if common <= 1 else [x // common for x in out]
 
 
 def solve_linear_system(

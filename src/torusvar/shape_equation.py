@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -204,14 +206,12 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     for div_bar; only these operators carry a 1/rho part, and each enters
     linearly, which is where the affine form in 1/rho comes from.
     """
-    k_hat = h_calculus.K_HAT
 
     def term(h_power: int, k_power: int, coeff: int) -> list[int]:
-        # coeff * x^h_power * K_hat^k_power
-        poly = [coeff]
-        for _ in range(k_power):
-            poly = _products_sum([(poly, k_hat)])
-        return [0] * h_power + poly
+        # coeff * x^h_power * K_hat^k_power, with K_hat = 2 x - 1
+        return [0] * h_power + [
+            coeff * comb(k_power, m) * 2**m * (-1) ** (k_power - m) for m in range(k_power + 1)
+        ]
 
     # (partial of E, its operator, the operator's chain-rule remainder B,
     # the algebraic factor) for each partial that is present
@@ -314,10 +314,25 @@ def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
     """
     lagrangian._require_numeric()
     residual = ResidualRows.of(lagrangian)
-    return HPoly.of(
-        sum((c * value for c, value in zip(residual.coefficients, values)), Fraction(0))
-        for values in residual.evaluate(t)
-    )
+    rn, rd = t.r.numerator, t.r.denominator
+
+    def r_power(e: int) -> tuple[int, int]:
+        return (rn**e, rd**e) if e >= 0 else (rd**-e, rn**-e)
+
+    # the coefficients normalized as c r^-w, as integers over one denominator
+    normalized = []
+    for c, w in zip(residual.coefficients, residual.weights):
+        num, den = r_power(-w)
+        normalized.append(Fraction(c.numerator * num, c.denominator * den))
+    denom = lcm(*(c.denominator for c in normalized))
+    ints = [c.numerator * (denom // c.denominator) for c in normalized]
+    # row p is r^(p - 3) / (rho numerator * denom) times one integer dot product
+    denom *= t.ratio.numerator
+    coeffs = []
+    for p, row in enumerate(residual.at_ratio(t.ratio)):
+        num, den = r_power(p - 3)
+        coeffs.append(Fraction(sum(map(mul, ints, row)) * num, denom * den))
+    return HPoly.of(coeffs)
 
 
 def el_residual_numeric_scaled(

@@ -167,6 +167,23 @@ def test_bad_input_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_terms_need_with_gauss(capsys, command):
+    assert main([command, "--degree", "3", "--terms", "K2", "--r", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--terms only applies together with --with-gauss" in captured.err
+
+
+@pytest.mark.parametrize("modes", ["cos=1", "cos1=abc", "tan1=1", "cos-1=1", "sin1=inf", "cos1=1,sin=2"])
+def test_bad_modes_name_the_token_and_the_form(capsys, modes):
+    assert main(["second-variation", "--degree", "2", "--modes", modes]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    token = modes.split(",")[-1]
+    assert f"bad mode {token!r}: expected cosJ=x or sinJ=x" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, code, minimum",
     [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusvar.critical_solver import _pivot_order, family_lagrangian, solve_pure_h, solve_with_gauss
 from torusvar.exact_algebra import (
     HPoly,
     LinearForm,
@@ -12,6 +13,9 @@ from torusvar.exact_algebra import (
     solve_linear_system,
     solve_rows,
 )
+from torusvar.shape_equation import ResidualRows
+
+from oracles import exact_families, gauss_jordan
 
 
 def test_add_pads_shorter_operand():
@@ -194,3 +198,72 @@ def test_integer_rows_solve_like_linear_forms():
             assert from_ints.assignments[name] == LinearForm.variable(name)
         assert set(from_ints.assignments) == set(unknowns)
         assert all(vectors[i][-1] != 0 for i in from_ints.offending_rows)
+
+
+def _assert_solves_like_gauss_jordan(rows, unknowns, order=None):
+    """Compare solve_rows with the Gauss-Jordan oracle; returns the oracle's
+    free unknowns and assignments."""
+    solution = solve_rows(rows, unknowns, order)
+    pivots, free, assignments, offending = gauss_jordan(rows, unknowns, order)
+    assert list(solution.pivot_unknowns) == pivots
+    assert list(solution.free) == free
+    assert list(solution.offending_rows) == offending
+    assert solution.consistent == (not offending)
+    for u in free:
+        assert solution.assignments[u] == LinearForm.variable(u)
+    for u, (terms, constant) in assignments.items():
+        form = solution.assignments[u]
+        assert (form.terms, form.constant) == (terms, constant), u
+    return free, assignments
+
+
+def _random_system(rng, kind):
+    n_rows, n_unknowns = rng.randint(1, 9), rng.randint(1, 8)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if kind == "fractions":
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return rng.randint(-20, 20)
+
+    rows = [[entry() for _ in range(n_unknowns + 1)] for _ in range(n_rows)]
+    if kind == "banded":
+        rows = [[x if abs(i - l) <= 2 else 0 for l, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "rank_deficient":
+        # a combination of two rows, spliced in among them
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.insert(rng.randint(0, n_rows), [a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    elif kind == "inconsistent":
+        rows.append([*rows[0][:-1], rows[0][-1] + rng.choice([-2, -1, 1, 2])])
+        rng.shuffle(rows)
+    names = [f"x{l}" for l in range(n_unknowns)]
+    order = rng.sample(names, rng.randint(0, n_unknowns)) if rng.random() < 0.5 else None
+    return rows, names, order
+
+
+@pytest.mark.parametrize("kind", ["dense", "banded", "rank_deficient", "inconsistent", "fractions"])
+def test_solve_rows_matches_gauss_jordan_on_random_systems(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        _assert_solves_like_gauss_jordan(*_random_system(rng, kind))
+
+
+@pytest.mark.parametrize(
+    "n, kterms, ratio",
+    exact_families(),
+    ids=[f"n={n} kterms={len(kterms)} a2/r2={ratio}" for n, kterms, ratio in exact_families()],
+)
+def test_family_systems_solve_like_gauss_jordan(n, kterms, ratio):
+    rows = ResidualRows.of(family_lagrangian(n, kterms))
+    system = [row + [0] for row in rows.at_ratio(ratio)]
+    order = _pivot_order(n, len(kterms))
+    free, assignments = _assert_solves_like_gauss_jordan(system, rows.coefficients, order)
+    # the same solve returned in the coefficients c = r^w c_normalized
+    r = Fraction(17, 16)
+    report = solve_with_gauss(n, r, kterms, ratio * r * r) if kterms else solve_pure_h(n, r)
+    weight = dict(zip(rows.coefficients, rows.weights))
+    assert list(report.free_parameters) == free
+    for u, (terms, _) in assignments.items():
+        expected = {f: c * r ** (weight[u] - weight[f]) for f, c in terms.items()}
+        assert report.assignments[u] == LinearForm(expected), u

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
-from torusvar.critical_solver import family_lagrangian, theorem_kterms
-from torusvar.exact_algebra import LinearForm
+from torusvar.critical_solver import family_lagrangian, solve_pure_h, solve_with_gauss, theorem_kterms
+from torusvar.exact_algebra import HPoly, LinearForm
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import (
     HelfrichParams,
@@ -18,6 +19,8 @@ from torusvar.shape_equation import (
     sphere_residual,
 )
 from torusvar.torus_geometry import curvatures, grid_nodes, suggest_grid
+
+from oracles import exact_families, lagrangian_residual, monomial_residual
 
 CLIFFORD = ExactTorus(Fraction(2), 1)
 
@@ -252,3 +255,56 @@ def test_lagrangian_validation_and_substitution():
     assert numeric.is_numeric
     assert numeric.terms == {(2, 0): Fraction(2)}
     assert numeric.pressure == Fraction(1, 3)
+
+
+def _exact_families_columns():
+    """Every (H power, K power) that the exact-families systems use, K^7
+    among them."""
+    return sorted({km for n, kterms, _ in exact_families() for km in family_lagrangian(n, kterms).terms})
+
+
+def test_integer_columns_match_the_closed_form_residual():
+    # two tori of different a^2/r^2 pin both the U and the V part of a column
+    tori = (ExactTorus(Fraction(25, 8) * Fraction(289, 256), Fraction(17, 16)), ExactTorus(Fraction(7, 3), 1))
+    columns = _exact_families_columns()
+    assert (0, 7) in columns
+    for i, j in columns:
+        u, v = residual_column(i, j)
+        for t in tori:
+            coeffs = [
+                t.r ** (p - i - 2 * j - 1) * (up + vp / t.ratio)
+                for p, (up, vp) in enumerate(zip_longest(u, v, fillvalue=0))
+            ]
+            assert HPoly.of(coeffs) == monomial_residual(t, i, j), (i, j)
+
+
+def test_el_residual_matches_the_closed_form_residual():
+    rng = random.Random(41)
+    columns = _exact_families_columns()
+    for t in random_exact_tori(6, seed=43):
+        for _ in range(4):
+            terms = {
+                km: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                for km in rng.sample(columns, rng.randint(1, 8))
+            }
+            lagrangian = Lagrangian(terms, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            residual = el_residual(t, lagrangian)
+            assert not residual.is_zero
+            assert residual == lagrangian_residual(t, lagrangian)
+
+
+@pytest.mark.parametrize(
+    "n, kterms, ratio",
+    exact_families(),
+    ids=[f"n={n} kterms={len(kterms)} a2/r2={ratio}" for n, kterms, ratio in exact_families()],
+)
+def test_random_family_members_are_critical_by_the_closed_forms(n, kterms, ratio):
+    rng = random.Random(n)
+    r = Fraction(17, 16)
+    report = solve_with_gauss(n, r, kterms, ratio * r * r) if kterms else solve_pure_h(n, r)
+    t = report.exact_torus()
+    member = report.lagrangian_at(
+        {f: Fraction(rng.randint(1, 999), rng.randint(1, 999)) for f in report.free_parameters}
+    )
+    assert el_residual(t, member).is_zero
+    assert lagrangian_residual(t, member).is_zero
