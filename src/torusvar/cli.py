@@ -30,7 +30,7 @@ from .energetics import Perturbation, curvature_energy, second_variation
 from .exact_algebra import HPoly, LinearForm, format_fraction, parse_fraction
 from .h_calculus import ExactTorus
 from .shape_equation import Lagrangian
-from .torus_geometry import DEFAULT_GRID, TorusShape, grid_nodes
+from .torus_geometry import DEFAULT_GRID, TorusShape
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -49,36 +49,48 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.15g}"
 
 
-def _parse_terms(spec: str) -> tuple[tuple[int, int], ...]:
-    """Parse a term list like ``K2,HK,H2K`` into (H power, K power) pairs."""
-    out = []
+def _parse_list(spec: str, option: str, parse, key=lambda item: item) -> list:
+    """Parse a comma-separated option value token by token; empty tokens are
+    skipped, but a list left empty, or two tokens with the same key, is bad
+    input."""
+    items = []
+    seen: dict[object, str] = {}
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        i = 0
-        h_pow = 0
-        k_pow = 0
-        if i < len(token) and token[i] == "H":
-            i += 1
-            j = i
-            while j < len(token) and token[j].isdigit():
-                j += 1
-            h_pow = int(token[i:j]) if j > i else 1
-            i = j
-        if i < len(token) and token[i] == "K":
-            i += 1
-            j = i
-            while j < len(token) and token[j].isdigit():
-                j += 1
-            k_pow = int(token[i:j]) if j > i else 1
-            i = j
-        if i != len(token) or k_pow < 1:
-            raise ValueError(f"bad term {token!r}: expected forms like K2, HK, H2K")
-        out.append((h_pow, k_pow))
-    if not out:
-        raise ValueError("empty term list")
-    return tuple(out)
+        item = parse(token)
+        if key(item) in seen:
+            raise ValueError(f"{option}: {token!r} repeats {seen[key(item)]!r}")
+        seen[key(item)] = token
+        items.append(item)
+    if not items:
+        raise ValueError(f"{option}: empty list {spec!r}")
+    return items
+
+
+def _parse_term(token: str) -> tuple[int, int]:
+    """Parse one term like ``K2``, ``HK`` or ``H2K`` into (H power, K power)."""
+    i = 0
+    h_pow = 0
+    k_pow = 0
+    if i < len(token) and token[i] == "H":
+        i += 1
+        j = i
+        while j < len(token) and token[j].isdigit():
+            j += 1
+        h_pow = int(token[i:j]) if j > i else 1
+        i = j
+    if i < len(token) and token[i] == "K":
+        i += 1
+        j = i
+        while j < len(token) and token[j].isdigit():
+            j += 1
+        k_pow = int(token[i:j]) if j > i else 1
+        i = j
+    if i != len(token) or k_pow < 1:
+        raise ValueError(f"bad term {token!r}: expected forms like K2, HK, H2K")
+    return h_pow, k_pow
 
 
 def _form_to_dict(form: LinearForm) -> dict[str, str]:
@@ -144,27 +156,35 @@ def _base_payload(command: str, **inputs) -> dict:
     }
 
 
-def _check_grid(args) -> None:
-    """Reject a --grid the spectral oracles cannot use: odd or below 16
-    points; second-variation also evaluates at grid/2, so it needs 32."""
-    if args.grid is None:
-        return
-    if args.command == "second-variation":
-        minimum, reason = 32, " (second-variation also evaluates at grid/2)"
-    else:
-        minimum, reason = 16, ""
-    if args.grid < minimum or args.grid % 2:
-        raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
+def _check_options(args) -> None:
+    """Reject, before any work, a --grid the spectral oracles cannot use (odd
+    or below 16 points; second-variation also evaluates at grid/2, so it
+    needs 32 and a multiple of 4) and a --tolerance that is not a finite
+    positive number."""
+    if args.grid is not None:
+        if args.command == "second-variation":
+            minimum, step = 32, 4
+            reason = " and a multiple of 4 (second-variation also evaluates at grid/2, which must be even)"
+        else:
+            minimum, step, reason = 16, 2, ""
+        if args.grid < minimum or args.grid % step:
+            raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"--tolerance must be a finite number > 0, got {tolerance}")
 
 
 def _solve_from_args(args) -> SolutionReport:
     r = parse_fraction(args.r)
     if args.with_gauss:
-        terms = _parse_terms(args.terms) if args.terms else default_kterms(args.degree)
+        if args.terms is not None:
+            terms = tuple(_parse_list(args.terms, "--terms", _parse_term))
+        else:
+            terms = default_kterms(args.degree)
         a2 = parse_fraction(args.a2) if args.a2 else None
         return solve_with_gauss(args.degree, r, terms, a2)
     for flag, value in (("--a2", args.a2), ("--terms", args.terms)):
-        if value:
+        if value is not None:
             raise ValueError(f"{flag} only applies together with --with-gauss")
     return solve_pure_h(args.degree, r)
 
@@ -311,36 +331,31 @@ def cmd_energy(args) -> int:
 
 
 def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
-    shape = torus.to_shape()
-    u = grid_nodes(n)
-    h, k_vals = torus_geometry.curvatures(shape, u)
+    s = torus_geometry.SampledTorus(torus.to_shape(), n)
+    h, k_vals = s.h, s.k
+    ops = h_calculus.TorusOperators(torus)
+    # H is differenced once, for both operators and the two gradient terms
+    dh = torus_geometry.spectral_derivative(h)
+    lb, divbar = torus_geometry.lb_numeric, torus_geometry.divbar_numeric
 
     def compare(closed: HPoly, grid_values: np.ndarray) -> float:
         exact = closed.eval_float(h)
         scale = max(float(np.max(np.abs(grid_values))), 1.0)
         return float(np.max(np.abs(exact - grid_values))) / scale
 
-    checks = []
-    checks.append(("laplacian(H)", compare(h_calculus.laplacian_h(torus), torus_geometry.lb_numeric(shape, h))))
-    df = torus_geometry.spectral_derivative(h)
-    checks.append(("|grad H|^2", compare(h_calculus.grad_h_squared(torus), df * df / float(torus.r) ** 2)))
+    checks = [
+        ("laplacian(H)", compare(ops.laplacian_h, lb(s, h, dh))),
+        ("|grad H|^2", compare(ops.grad_h_squared, dh * dh / float(torus.r) ** 2)),
+    ]
     for k in range(2, 7):
-        checks.append(
-            (f"laplacian(H^{k})", compare(h_calculus.laplacian_poly(torus, HPoly.monomial(k)), torus_geometry.lb_numeric(shape, h**k)))
-        )
-    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), torus_geometry.divbar_numeric(shape, h))))
-    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), torus_geometry.divbar_numeric(shape, k_vals))))
-    checks.append(("bilinear term", compare(h_calculus.divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * df * df)))
+        closed = h_calculus.laplacian_poly(ops, HPoly.monomial(k))
+        checks.append((f"laplacian(H^{k})", compare(closed, lb(s, s.h_power(k)))))
+    checks.append(("div_bar(H)", compare(ops.divbar_h, divbar(s, h, dh))))
+    checks.append(("div_bar(K)", compare(ops.divbar_k, divbar(s, k_vals))))
+    checks.append(("bilinear term", compare(ops.divbar_bilinear, k_vals * (1.0 / float(torus.r)) * dh * dh)))
     for k in range(2, 6):
-        checks.append(
-            (
-                f"div_bar(H^{k})",
-                compare(
-                    h_calculus.divbar_poly(torus, HPoly.monomial(k)),
-                    torus_geometry.divbar_numeric(shape, h**k),
-                ),
-            )
-        )
+        closed = h_calculus.divbar_poly(ops, HPoly.monomial(k))
+        checks.append((f"div_bar(H^{k})", compare(closed, divbar(s, s.h_power(k)))))
     return checks
 
 
@@ -367,8 +382,8 @@ def cmd_identities(args) -> int:
 
 def cmd_scan(args) -> int:
     r = parse_fraction(args.r)
-    if args.ratios:
-        ratios = [parse_fraction(tok) for tok in args.ratios.split(",") if tok.strip()]
+    if args.ratios is not None:
+        ratios = _parse_list(args.ratios, "--ratios", parse_fraction)
     else:
         ratios = [Fraction(num, 20) for num in range(24, 81, 4)]
     if args.degree == 2:
@@ -393,29 +408,28 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _parse_modes(spec: str) -> Perturbation:
-    modes: dict[str, dict[int, float]] = {"cos": {}, "sin": {}}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, _, value = token.partition("=")
-        kind, index = name[:3], name[3:]
-        try:
-            amplitude = float(value or "1")
-            valid = kind in modes and index.isdecimal() and math.isfinite(amplitude)
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ValueError(
-                f"bad mode {token!r}: expected cosJ=x or sinJ=x, "
-                "with an integer J >= 0 and a finite number x"
-            )
-        modes[kind][int(index)] = amplitude
-    return Perturbation(modes["cos"], modes["sin"])
+def _parse_mode(token: str) -> tuple[str, int, float]:
+    """Parse one mode like ``cos1=1`` or ``sin2=0.5`` into (kind, J, amplitude)."""
+    name, _, value = token.partition("=")
+    kind, index = name[:3], name[3:]
+    try:
+        amplitude = float(value or "1")
+        valid = kind in ("cos", "sin") and index.isdecimal() and math.isfinite(amplitude)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"bad mode {token!r}: expected cosJ=x or sinJ=x, "
+            "with an integer J >= 0 and a finite number x"
+        )
+    return kind, int(index), amplitude
 
 
 def cmd_second_variation(args) -> int:
+    modes: dict[str, dict[int, float]] = {"cos": {}, "sin": {}}
+    for kind, index, amplitude in _parse_list(args.modes, "--modes", _parse_mode, key=lambda m: m[:2]):
+        modes[kind][index] = amplitude
+    omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
     if args.degree >= 2:
         lagrangian, constraint = _energy_family(args.degree, r)
@@ -425,7 +439,6 @@ def cmd_second_variation(args) -> int:
         lagrangian = report.lagrangian_at(_default_free_values(report))
         ratio = parse_fraction(args.ratio) if args.ratio else Fraction(2)
     t = TorusShape.from_ratio(ratio, r)
-    omega = _parse_modes(args.modes)
     value = second_variation(t, lagrangian, 0.0, omega, args.grid)
     coarse = second_variation(t, lagrangian, 0.0, omega, args.grid // 2)
     text = (
@@ -510,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_grid(args)
+        _check_options(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"torusvar: error: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 All integrals here are periodic-trapezoid quadratures in u (times the exact
 2 pi of the symmetry direction), which converge spectrally for the smooth
 periodic integrands on the torus; the default 256-point grid leaves errors
-far below the tolerances asserted anywhere in the test suite.
+far below the tolerances asserted anywhere in the test suite.  Each call
+samples its torus once per grid (:class:`torusvar.torus_geometry.SampledTorus`)
+and differences each field once.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ import numpy as np
 from .shape_equation import Lagrangian
 from .torus_geometry import (
     DEFAULT_GRID,
+    SampledTorus,
     TorusShape,
-    _area_integral,
     area_volume,
-    curvatures,
     divbar_numeric,
-    grid_nodes,
     lb_numeric,
     spectral_derivative,
 )
@@ -133,9 +133,8 @@ def curvature_energy(
     """
 
     def area_term(m: int) -> float:
-        u = grid_nodes(m)
-        h, k = curvatures(t, u)
-        return _area_integral(t, lagrangian.eval_at(h, k), m)
+        s = SampledTorus(t, m)
+        return s.area_integral(lagrangian.eval_at(s))
 
     area = area_term(n)
     coarse = area_term(n // 2)
@@ -182,28 +181,29 @@ def second_variation(
         raise ValueError("second variation is implemented for H-only Lagrangians")
     e_h = lagrangian.partial_h()
 
-    u = grid_nodes(n)
-    h, k = curvatures(t, u)
-    w = t.a + t.r * np.cos(u)
+    s = SampledTorus(t, n)
+    h, k, w = s.h, s.k, s.w
     g_uu = 1.0 / t.r**2
     g_vv = 1.0 / w**2
     k_h_uu = k / t.r  # K h^{uu}
     k_h_vv = 1.0 / (t.r * w**2)  # K h^{vv}, finite although h22 vanishes
 
-    e_val = lagrangian.eval_at(h, k)
-    de = e_h.eval_at(h, k)
-    d2e = e_h.partial_h().eval_at(h, k)
+    e_val = lagrangian.eval_at(s)
+    de = e_h.eval_at(s)
+    d2e = e_h.partial_h().eval_at(s)
     p = float(pressure)
+    h2 = s.h_power(2)
 
-    big_e1 = (2.0 * h**2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
-    big_e2 = (2.0 * h**2 - k) * d2e + 2.0 * h * de - e_val
+    big_e1 = (2.0 * h2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
+    big_e2 = (2.0 * h2 - k) * d2e + 2.0 * h * de - e_val
 
-    f = omega.values(u)
+    # f is differenced once, for both operators and the gradient terms
+    f = omega.values(s.u)
     df = spectral_derivative(f)
     m2 = float(v_mode * v_mode)
 
-    lap_f = lb_numeric(t, f) - m2 * g_vv * f
-    div_tilde_f = divbar_numeric(t, f) - m2 * k_h_vv * f
+    lap_f = lb_numeric(s, f, df) - m2 * g_vv * f
+    div_tilde_f = divbar_numeric(s, f, df) - m2 * k_h_vv * f
     grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
     grad_hf_grad_f = g_uu * spectral_derivative(h * f) * df + m2 * g_vv * h * f**2
 
@@ -214,7 +214,7 @@ def second_variation(
         + 0.25 * d2e * lap_f**2
         + de * (grad_hf_grad_f - grad_f_tilde_f)
     )
-    value = _area_integral(t, integrand, n)
+    value = s.area_integral(integrand)
     # the v average of cos^2(m v) halves every term for a genuine v mode
     return 0.5 * value if v_mode >= 1 else value
 

@@ -20,6 +20,10 @@ coefficient r^(p - d) (U_p + V_p / rho) on H^p.  Every closed form is
 regression-tested against the independent spectral operators of
 :mod:`torusvar.torus_geometry`.
 
+:class:`TorusOperators` builds each closed form of one torus once, so a
+caller that applies several chain rules on the same torus (the identities
+table) reuses them; it lives only as long as the caller keeps it.
+
 Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
 constrained tori have irrational a).
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
 
@@ -38,6 +43,7 @@ from .torus_geometry import TorusShape
 
 __all__ = [
     "ExactTorus",
+    "TorusOperators",
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
@@ -126,7 +132,7 @@ def divbar_h(t: ExactTorus) -> HPoly:
 
 def divbar_k(t: ExactTorus) -> HPoly:
     """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H."""
-    return divbar_h(t).scale(Fraction(2) / t.r)
+    return TorusOperators(t).divbar_k
 
 
 def divbar_bilinear(t: ExactTorus) -> HPoly:
@@ -140,15 +146,52 @@ def divbar_bilinear(t: ExactTorus) -> HPoly:
     return _on_torus(t, BILINEAR, 5)
 
 
-def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    """div_bar of an arbitrary polynomial f(H), by the chain rule."""
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    return d1 * divbar_h(t) + d2 * divbar_bilinear(t)
+class TorusOperators:
+    """The closed-form operators of one torus: each attribute is the module
+    function of the same name on ``torus``, built on first use and kept for
+    the object's lifetime."""
+
+    def __init__(self, torus: ExactTorus):
+        self.torus = torus
+
+    @cached_property
+    def laplacian_h(self) -> HPoly:
+        return laplacian_h(self.torus)
+
+    @cached_property
+    def grad_h_squared(self) -> HPoly:
+        return grad_h_squared(self.torus)
+
+    @cached_property
+    def divbar_h(self) -> HPoly:
+        return divbar_h(self.torus)
+
+    @cached_property
+    def divbar_bilinear(self) -> HPoly:
+        return divbar_bilinear(self.torus)
+
+    @property
+    def divbar_k(self) -> HPoly:
+        return self.divbar_h.scale(Fraction(2) / self.torus.r)
 
 
-def laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule."""
+def _operators(t: ExactTorus | TorusOperators) -> TorusOperators:
+    return t if isinstance(t, TorusOperators) else TorusOperators(t)
+
+
+def divbar_poly(t: ExactTorus | TorusOperators, f: HPoly) -> HPoly:
+    """div_bar of an arbitrary polynomial f(H), by the chain rule; t is a
+    torus or its TorusOperators, whose closed forms are then reused."""
+    ops = _operators(t)
     d1 = f.derivative()
     d2 = d1.derivative()
-    return d1 * laplacian_h(t) + d2 * grad_h_squared(t)
+    return d1 * ops.divbar_h + d2 * ops.divbar_bilinear
+
+
+def laplacian_poly(t: ExactTorus | TorusOperators, f: HPoly) -> HPoly:
+    """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule;
+    t as for :func:`divbar_poly`."""
+    ops = _operators(t)
+    d1 = f.derivative()
+    d2 = d1.derivative()
+    return d1 * ops.laplacian_h + d2 * ops.grad_h_squared

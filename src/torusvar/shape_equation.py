@@ -17,7 +17,8 @@ Two independent evaluation routes are provided: the exact route through one
 integer column per monomial H^i K^j (:func:`residual_column`, built from the
 operator table of :mod:`torusvar.h_calculus` and valid on every torus), and a
 fully numeric route through the spectral grid operators of
-:mod:`torusvar.torus_geometry` alone, used as a cross-check oracle.
+:mod:`torusvar.torus_geometry` alone, used as a cross-check oracle; it reads
+every field from one :class:`~torusvar.torus_geometry.SampledTorus`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import h_calculus, torus_geometry
 from .exact_algebra import HPoly, LinearForm
 from .h_calculus import ExactTorus
-from .torus_geometry import DEFAULT_GRID, TorusShape, grid_nodes
+from .torus_geometry import DEFAULT_GRID, SampledTorus, TorusShape
 
 __all__ = [
     "Coefficient",
@@ -108,13 +109,22 @@ class Lagrangian:
             pressure = Fraction(values[pressure])
         return Lagrangian(terms, pressure)
 
-    def eval_at(self, h, k):
-        """Pointwise numeric value of E on samples h, k of H and K (numpy
-        arrays, or floats); an empty Lagrangian gives zeros shaped like h."""
+    def eval_at(self, s: SampledTorus) -> np.ndarray:
+        """Pointwise numeric value of E at the nodes of a sampled torus, from
+        its tables of H and K powers; an empty Lagrangian gives zeros.
+
+        Each term is c H^i K^j, multiplied left to right; a zeroth power is
+        left out, which changes no float since multiplying by 1.0 is exact.
+        """
         self._require_numeric()
-        total = np.zeros_like(h, dtype=float)
+        total = np.zeros_like(s.h)
         for (i, j), c in self.terms.items():
-            total = total + float(c) * h**i * k**j
+            term = float(c)
+            if i:
+                term = term * s.h_power(i)
+            if j:
+                term = term * s.k_power(j)
+            total = total + term
         return total
 
     # distinct terms have distinct partials, so nothing needs collecting
@@ -181,16 +191,30 @@ class ResidualSystem:
         return HPoly.of([row.evaluate(values) for row in self.rows])
 
 
-def _products_sum(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
-    """Sum of the products of integer coefficient lists, trailing zeros trimmed."""
+# an integer polynomial x^shift * (c_0 + c_1 x + ...), kept without the
+# shift's leading zeros
+Shifted = tuple[int, list[int]]
+
+
+def _derivative(f: Shifted) -> Shifted:
+    shift, coeffs = f
+    if shift:
+        return shift - 1, [(shift + m) * c for m, c in enumerate(coeffs)]
+    return 0, [m * c for m, c in enumerate(coeffs)][1:]
+
+
+def _products_sum(pairs: Iterable[tuple[Shifted, Sequence[int]]]) -> list[int]:
+    """Sum of the products f q of shifted and plain integer coefficient
+    lists, as one plain list with trailing zeros trimmed."""
     out: list[int] = []
-    for p, q in pairs:
-        if len(out) < len(p) + len(q) - 1:
-            out.extend([0] * (len(p) + len(q) - 1 - len(out)))
-        for a, pa in enumerate(p):
+    for (shift, p), q in pairs:
+        size = shift + len(p) + len(q) - 1
+        if len(out) < size:
+            out.extend([0] * (size - len(out)))
+        for a, pa in enumerate(p, shift):
             if pa:
-                for b, qb in enumerate(q):
-                    out[a + b] += pa * qb
+                for b, qb in enumerate(q, a):
+                    out[b] += pa * qb
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -207,9 +231,9 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     linearly, which is where the affine form in 1/rho comes from.
     """
 
-    def term(h_power: int, k_power: int, coeff: int) -> list[int]:
+    def term(h_power: int, k_power: int, coeff: int) -> Shifted:
         # coeff * x^h_power * K_hat^k_power, with K_hat = 2 x - 1
-        return [0] * h_power + [
+        return h_power, [
             coeff * comb(k_power, m) * 2**m * (-1) ** (k_power - m) for m in range(k_power + 1)
         ]
 
@@ -227,8 +251,8 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     u_pairs = [(term(i + 1, j, -4), [1])]  # -4HE
     v_pairs = []
     for e, (op_u, op_v), (rem_u, rem_v), algebraic in parts:
-        d1 = [k * c for k, c in enumerate(e)][1:]
-        d2 = [k * c for k, c in enumerate(d1)][1:]
+        d1 = _derivative(e)
+        d2 = _derivative(d1)
         u_pairs += [(d1, op_u), (d2, rem_u), (e, algebraic)]
         v_pairs += [(d1, op_v), (d2, rem_v)]
     return _products_sum(u_pairs), _products_sum(v_pairs)
@@ -345,18 +369,18 @@ def el_residual_numeric_scaled(
     regardless of how large the family's coefficients are.
     """
     lagrangian._require_numeric()
-    u = grid_nodes(n)
-    h, k = torus_geometry.curvatures(t, u)
-    eh = lagrangian.partial_h().eval_at(h, k)
-    ek = lagrangian.partial_k().eval_at(h, k)
-    density = lagrangian.eval_at(h, k)
+    s = SampledTorus(t, n)
+    h, k = s.h, s.k
+    eh = lagrangian.partial_h().eval_at(s)
+    ek = lagrangian.partial_k().eval_at(s)
+    density = lagrangian.eval_at(s)
 
-    lap_eh = torus_geometry.lb_numeric(t, eh)
-    dbar_ek = torus_geometry.divbar_numeric(t, ek)
+    lap_eh = torus_geometry.lb_numeric(s, eh)
+    dbar_ek = torus_geometry.divbar_numeric(s, ek)
     pressure = float(lagrangian.pressure)
     terms = (
         lap_eh,
-        (4.0 * h**2 - 2.0 * k) * eh,
+        (4.0 * s.h_power(2) - 2.0 * k) * eh,
         2.0 * dbar_ek,
         4.0 * k * h * ek,
         -4.0 * h * density,

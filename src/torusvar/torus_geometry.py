@@ -22,6 +22,14 @@ here by spectral (trigonometric-interpolation) differentiation:
 The grid operators in this module are deliberately independent of the
 closed-form polynomial identities in :mod:`torusvar.h_calculus`; they are the
 oracle those identities are tested against.
+
+A :class:`SampledTorus` is one torus on one grid: the nodes, cos u, w, H and
+K, computed once, and the powers H^i and K^j, computed on first use.  Every
+numeric oracle builds one per grid for the length of a single call and reads
+its fields from it; the operators also accept a u-derivative their caller
+has already taken, so a field used twice is differenced once.  Each array is
+computed by the same numpy operations as a fresh evaluation would use, so
+sharing changes no float.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import numpy as np
 __all__ = [
     "TorusShape",
     "AreaVolume",
+    "SampledTorus",
     "grid_nodes",
     "curvatures",
     "fundamental_forms",
@@ -120,12 +129,56 @@ def suggest_grid(t: TorusShape, base: int = DEFAULT_GRID, tail: float = 1e-14) -
     return n
 
 
+def _curvatures(t: TorusShape, cos_u, w):
+    return 0.5 * (1.0 / t.r + cos_u / w), cos_u / (t.r * w)
+
+
 def curvatures(t: TorusShape, u):
     """Mean and Gaussian curvature at angle u (scalar or array)."""
-    w = t.a + t.r * np.cos(u)
-    h = 0.5 * (1.0 / t.r + np.cos(u) / w)
-    k = np.cos(u) / (t.r * w)
-    return h, k
+    cos_u = np.cos(u)
+    return _curvatures(t, cos_u, t.a + t.r * cos_u)
+
+
+def _power(table: dict[int, np.ndarray], base: np.ndarray, e: int) -> np.ndarray:
+    if e == 1:
+        return base
+    if e not in table:
+        table[e] = base**e
+    return table[e]
+
+
+class SampledTorus:
+    """One torus sampled on the n-point u-grid, for the length of one call.
+
+    ``u``, ``cos_u``, ``w = a + r cos u`` and the curvatures ``h`` and ``k``
+    are computed at construction; :meth:`h_power` and :meth:`k_power`
+    compute each power on first use and keep it with the object.  Each
+    oracle call builds its own and drops it on return, so no table outlives
+    the call.
+    """
+
+    def __init__(self, shape: TorusShape, n: int):
+        self.shape = shape
+        self.n = n
+        self.u = grid_nodes(n)
+        self.cos_u = np.cos(self.u)
+        self.w = shape.a + shape.r * self.cos_u
+        self.h, self.k = _curvatures(shape, self.cos_u, self.w)
+        self._h_powers: dict[int, np.ndarray] = {}
+        self._k_powers: dict[int, np.ndarray] = {}
+
+    def h_power(self, i: int) -> np.ndarray:
+        """H**i, computed on first use (H itself for i = 1)."""
+        return _power(self._h_powers, self.h, i)
+
+    def k_power(self, j: int) -> np.ndarray:
+        """K**j, computed on first use (K itself for j = 1)."""
+        return _power(self._k_powers, self.k, j)
+
+    def area_integral(self, integrand) -> float:
+        """Periodic-trapezoid quadrature of integrand dA, with the exact 2 pi of v."""
+        du = 2.0 * math.pi / self.n
+        return 2.0 * math.pi * float(np.sum(integrand * self.shape.r * self.w)) * du
 
 
 def fundamental_forms(t: TorusShape, u):
@@ -148,39 +201,46 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
-def _divergence_form(t: TorusShape, values: np.ndarray, kernel) -> np.ndarray:
-    """(1/(r**2 w)) d/du (kernel(u, w) df/du) for the samples f of a field
-    at the grid nodes."""
+def _divergence_form(
+    t: TorusShape | SampledTorus, values: np.ndarray, kernel, derivative: np.ndarray | None
+) -> np.ndarray:
+    """(1/(r**2 w)) d/du (kernel(s) df/du) for the samples f of a field at
+    the grid nodes; t is a TorusShape, or a SampledTorus on the same grid,
+    and ``derivative``, when given, is df/du already taken."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 16 or n % 2:
         raise ValueError(f"grid size must be even and >= 16, got {n}")
-    u = grid_nodes(n)
-    w = t.a + t.r * np.cos(u)
-    inner = kernel(u, w) * spectral_derivative(values)
-    return spectral_derivative(inner) / (t.r**2 * w)
+    s = t if isinstance(t, SampledTorus) else SampledTorus(t, n)
+    if s.n != n:
+        raise ValueError(f"{n} samples on a torus sampled at {s.n} points")
+    if derivative is None:
+        derivative = spectral_derivative(values)
+    inner = kernel(s) * derivative
+    return spectral_derivative(inner) / (s.shape.r**2 * s.w)
 
 
-def lb_numeric(t: TorusShape, values: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami of a v-independent field, spectrally differenced."""
-    return _divergence_form(t, values, lambda u, w: w)
+def lb_numeric(
+    t: TorusShape | SampledTorus, values: np.ndarray, derivative: np.ndarray | None = None
+) -> np.ndarray:
+    """Laplace-Beltrami of a v-independent field, spectrally differenced.
+
+    t is a TorusShape or a SampledTorus; ``derivative`` is the field's
+    u-derivative when the caller has already taken it.
+    """
+    return _divergence_form(t, values, lambda s: s.w, derivative)
 
 
-def divbar_numeric(t: TorusShape, values: np.ndarray) -> np.ndarray:
+def divbar_numeric(
+    t: TorusShape | SampledTorus, values: np.ndarray, derivative: np.ndarray | None = None
+) -> np.ndarray:
     """Second-fundamental-form divergence operator on a v-independent field.
 
     The kernel is sqrt(g) * K * h^{uu} = cos(u) / r, written here with the
-    common 1/r factored into the outer division.
+    common 1/r factored into the outer division.  Arguments as for
+    :func:`lb_numeric`.
     """
-    return _divergence_form(t, values, lambda u, w: np.cos(u))
-
-
-def _area_integral(t: TorusShape, integrand, n: int) -> float:
-    """Periodic-trapezoid quadrature of integrand dA, with the exact 2 pi of v."""
-    u = grid_nodes(n)
-    w = t.a + t.r * np.cos(u)
-    du = 2.0 * math.pi / n
-    return 2.0 * math.pi * float(np.sum(integrand * t.r * w)) * du
+    return _divergence_form(t, values, lambda s: s.cos_u, derivative)
 
 
 def area_volume(t: TorusShape, n: int = DEFAULT_GRID) -> AreaVolume:
@@ -191,11 +251,10 @@ def area_volume(t: TorusShape, n: int = DEFAULT_GRID) -> AreaVolume:
     volume through the divergence theorem, whose integrand on this surface is
     ``a cos u + r``) as an independent cross-check.
     """
-    u = grid_nodes(n)
-    w = t.a + t.r * np.cos(u)
+    s = SampledTorus(t, n)
     du = 2.0 * np.pi / n
-    area_q = _area_integral(t, 1.0, n)
-    volume_q = (2.0 * np.pi / 3.0) * float(np.sum((t.a * np.cos(u) + t.r) * t.r * w)) * du
+    area_q = s.area_integral(1.0)
+    volume_q = (2.0 * np.pi / 3.0) * float(np.sum((t.a * s.cos_u + t.r) * t.r * s.w)) * du
     area = 4.0 * math.pi**2 * t.a * t.r
     volume = 2.0 * math.pi**2 * t.a * t.r**2
     reduced = volume / ((4.0 * math.pi / 3.0) * (area / (4.0 * math.pi)) ** 1.5)

@@ -4,13 +4,32 @@ and the list of families that the exact-families benchmark solves.
 None of them shares code with the integer kernel: the solver below works on
 plain Fractions, and the residual is built from the HPoly closed forms of
 :mod:`torusvar.h_calculus` by the Euler-Lagrange equation as written.
+
+The second half is a plain reference for the grid oracles: every call builds
+its own nodes and curvatures, evaluates each term of a Lagrangian as
+``float(c) * h**i * k**j``, and each operator differences its own input.
+The package shares that work within one call; the tests require it to give
+the same floats, bit for bit.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from torusvar.critical_solver import default_kterms, theorem_kterms
 from torusvar.exact_algebra import HPoly
-from torusvar.h_calculus import ExactTorus, divbar_poly, k_as_hpoly, laplacian_poly
+from torusvar.h_calculus import (
+    ExactTorus,
+    divbar_bilinear,
+    divbar_h,
+    divbar_k,
+    divbar_poly,
+    grad_h_squared,
+    k_as_hpoly,
+    laplacian_h,
+    laplacian_poly,
+)
 
 
 def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fraction]:
@@ -102,3 +121,155 @@ def exact_families() -> list[tuple[int, tuple, Fraction]]:
     out += [(n, theorem_kterms(n), Fraction(3)) for n in range(4, 15)]
     out += [(4, default_kterms(4), rho) for rho in (Fraction(2), Fraction(6, 5), Fraction(3))]
     return out
+
+
+def ref_nodes(n):
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def ref_curvatures(t, u):
+    w = t.a + t.r * np.cos(u)
+    h = 0.5 * (1.0 / t.r + np.cos(u) / w)
+    k = np.cos(u) / (t.r * w)
+    return h, k
+
+
+def ref_derivative(values):
+    n = values.shape[0]
+    spec = np.fft.rfft(values)
+    spec = spec * (1j * np.arange(spec.shape[0]))
+    spec[-1] = 0.0
+    return np.fft.irfft(spec, n)
+
+
+def _ref_divergence_form(t, values, kernel):
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    u = ref_nodes(n)
+    w = t.a + t.r * np.cos(u)
+    inner = kernel(u, w) * ref_derivative(values)
+    return ref_derivative(inner) / (t.r**2 * w)
+
+
+def ref_lb(t, values):
+    return _ref_divergence_form(t, values, lambda u, w: w)
+
+
+def ref_divbar(t, values):
+    return _ref_divergence_form(t, values, lambda u, w: np.cos(u))
+
+
+def ref_eval(lagrangian, h, k):
+    total = np.zeros_like(h, dtype=float)
+    for (i, j), c in lagrangian.terms.items():
+        total = total + float(c) * h**i * k**j
+    return total
+
+
+def ref_area_integral(t, integrand, n):
+    u = ref_nodes(n)
+    w = t.a + t.r * np.cos(u)
+    du = 2.0 * math.pi / n
+    return 2.0 * math.pi * float(np.sum(integrand * t.r * w)) * du
+
+
+def ref_area_volume(t, n):
+    """(area quadrature, volume quadrature)."""
+    u = ref_nodes(n)
+    w = t.a + t.r * np.cos(u)
+    du = 2.0 * np.pi / n
+    volume_q = (2.0 * np.pi / 3.0) * float(np.sum((t.a * np.cos(u) + t.r) * t.r * w)) * du
+    return ref_area_integral(t, 1.0, n), volume_q
+
+
+def ref_el_residual_numeric_scaled(t, lagrangian, n):
+    u = ref_nodes(n)
+    h, k = ref_curvatures(t, u)
+    eh = ref_eval(lagrangian.partial_h(), h, k)
+    ek = ref_eval(lagrangian.partial_k(), h, k)
+    density = ref_eval(lagrangian, h, k)
+    terms = (
+        ref_lb(t, eh),
+        (4.0 * h**2 - 2.0 * k) * eh,
+        2.0 * ref_divbar(t, ek),
+        4.0 * k * h * ek,
+        -4.0 * h * density,
+        2.0 * float(lagrangian.pressure) * np.ones_like(h),
+    )
+    residual = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
+    scale = float(np.max(sum(np.abs(piece) for piece in terms)))
+    return residual, max(scale, 1.0)
+
+
+def ref_max_residual(numeric):
+    """The grid maximum as a per-element loop; it drops a NaN unless the NaN comes first."""
+    return float(max(abs(float(x)) for x in numeric))
+
+
+def ref_curvature_energy(t, lagrangian, pressure, n):
+    """(area term, pressure term, quadrature error)."""
+
+    def area_term(m):
+        h, k = ref_curvatures(t, ref_nodes(m))
+        return ref_area_integral(t, ref_eval(lagrangian, h, k), m)
+
+    area = area_term(n)
+    coarse = area_term(n // 2)
+    volume = 2.0 * math.pi**2 * t.a * t.r**2
+    return area, 0.0 - float(pressure) * volume, abs(area - coarse)
+
+
+def ref_second_variation(t, lagrangian, pressure, omega, n, v_mode=0):
+    e_h = lagrangian.partial_h()
+    u = ref_nodes(n)
+    h, k = ref_curvatures(t, u)
+    w = t.a + t.r * np.cos(u)
+    g_uu = 1.0 / t.r**2
+    g_vv = 1.0 / w**2
+    k_h_uu = k / t.r
+    k_h_vv = 1.0 / (t.r * w**2)
+    e_val = ref_eval(lagrangian, h, k)
+    de = ref_eval(e_h, h, k)
+    d2e = ref_eval(e_h.partial_h(), h, k)
+    p = float(pressure)
+    big_e1 = (2.0 * h**2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
+    big_e2 = (2.0 * h**2 - k) * d2e + 2.0 * h * de - e_val
+    f = omega.values(u)
+    df = ref_derivative(f)
+    m2 = float(v_mode * v_mode)
+    lap_f = ref_lb(t, f) - m2 * g_vv * f
+    div_tilde_f = ref_divbar(t, f) - m2 * k_h_vv * f
+    grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
+    grad_hf_grad_f = g_uu * ref_derivative(h * f) * df + m2 * g_vv * h * f**2
+    integrand = (
+        big_e1 * f**2
+        + big_e2 * f * lap_f
+        - 2.0 * de * f * div_tilde_f
+        + 0.25 * d2e * lap_f**2
+        + de * (grad_hf_grad_f - grad_f_tilde_f)
+    )
+    value = ref_area_integral(t, integrand, n)
+    return 0.5 * value if v_mode >= 1 else value
+
+
+def ref_identity_checks(torus, n):
+    """The identities table: (name, relative error) per closed form."""
+    shape = torus.to_shape()
+    h, k_vals = ref_curvatures(shape, ref_nodes(n))
+
+    def compare(closed, grid_values):
+        exact = closed.eval_float(h)
+        scale = max(float(np.max(np.abs(grid_values))), 1.0)
+        return float(np.max(np.abs(exact - grid_values))) / scale
+
+    df = ref_derivative(h)
+    checks = [("laplacian(H)", compare(laplacian_h(torus), ref_lb(shape, h)))]
+    checks.append(("|grad H|^2", compare(grad_h_squared(torus), df * df / float(torus.r) ** 2)))
+    for k in range(2, 7):
+        checks.append((f"laplacian(H^{k})", compare(laplacian_poly(torus, HPoly.monomial(k)), ref_lb(shape, h**k))))
+    checks.append(("div_bar(H)", compare(divbar_h(torus), ref_divbar(shape, h))))
+    checks.append(("div_bar(K)", compare(divbar_k(torus), ref_divbar(shape, k_vals))))
+    checks.append(("bilinear term", compare(divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * df * df)))
+    for k in range(2, 6):
+        checks.append((f"div_bar(H^{k})", compare(divbar_poly(torus, HPoly.monomial(k)), ref_divbar(shape, h**k))))
+    return checks

@@ -263,3 +263,54 @@ def test_text_output_is_deterministic(capsys):
     _, first = run(capsys, "energy", "--degree", "4", "--r", "1")
     _, second = run(capsys, "energy", "--degree", "4", "--r", "1")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["second-variation", "--degree", "2", "--modes", "cos1=1,cos1=2"], "--modes: 'cos1=2' repeats 'cos1=1'"),
+        (["second-variation", "--degree", "2", "--modes", "sin2,cos2=1,sin2=0.5"], "--modes: 'sin2=0.5' repeats 'sin2'"),
+        (["second-variation", "--degree", "2", "--modes", ""], "--modes: empty list ''"),
+        (["second-variation", "--degree", "2", "--modes", ","], "--modes: empty list ','"),
+        (["solve", "--degree", "4", "--with-gauss", "--terms", "", "--r", "1"], "--terms: empty list ''"),
+        (["verify", "--degree", "4", "--with-gauss", "--terms", " , ", "--a2", "3"], "--terms: empty list ' , '"),
+        (["solve", "--degree", "4", "--with-gauss", "--terms", "HK,K2,H1K"], "--terms: 'H1K' repeats 'HK'"),
+        (["solve", "--degree", "3", "--terms", ""], "--terms only applies together with --with-gauss"),
+        (["scan", "--ratios", ""], "--ratios: empty list ''"),
+        (["scan", "--ratios", "3/2,2,4/2"], "--ratios: '4/2' repeats '2'"),
+    ],
+)
+def test_list_options_that_are_empty_or_repeated_are_bad_input(capsys, argv, message):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("grid, code", [("34", 4), ("46", 4), ("36", 0), ("48", 0)])
+def test_second_variation_grid_must_halve_to_an_even_grid(capsys, grid, code):
+    assert main(["second-variation", "--degree", "2", "--grid", grid]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert "--grid must be an even integer >= 32 and a multiple of 4" in captured.err
+        assert f"got {grid}" in captured.err
+    else:
+        assert captured.err == "" and "second variation:" in captured.out
+
+
+@pytest.mark.parametrize("command", [["verify", "--degree", "3"], ["identities", "--a2", "2"]])
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_positive(capsys, monkeypatch, command, tolerance):
+    # rejected before any work: the commands must not run at all
+    from torusvar import cli
+
+    def no_work(args):
+        raise AssertionError("ran with a bad tolerance")
+
+    monkeypatch.setattr(cli, "cmd_verify", no_work)
+    monkeypatch.setattr(cli, "cmd_identities", no_work)
+    assert main([*command, f"--tolerance={tolerance}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--tolerance must be a finite number > 0, got {float(tolerance)}" in captured.err
