@@ -7,7 +7,7 @@ coefficient families and pressures that make it one, and cross-checks every
 closed form against independent spectral-grid and quadrature oracles.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .critical_solver import (
     DegeneracyInfo,

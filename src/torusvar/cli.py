@@ -3,6 +3,9 @@
 Subcommands: solve, verify, energy, second-variation, identities, scan.
 Exact values print as canonical fractions, floats with 15 significant
 digits, so output is reproducible byte for byte for a fixed invocation.
+Every numeric command runs on ``--grid`` if given, else on the
+``suggest_grid`` grid of its torus (the finest over a scan), and its JSON
+``diagnostics`` block says which.
 
 Exit codes: 0 success, 2 inconsistent system, 3 tolerance breach, 4 bad
 input.
@@ -11,6 +14,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,7 +34,7 @@ from .energetics import Perturbation, curvature_energy, second_variation
 from .exact_algebra import HPoly, LinearForm, format_fraction, parse_fraction
 from .h_calculus import ExactTorus
 from .shape_equation import Lagrangian
-from .torus_geometry import DEFAULT_GRID, TorusShape
+from .torus_geometry import TorusShape
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -107,28 +111,22 @@ def _form_to_text(form: LinearForm) -> str:
     return " + ".join(bits)
 
 
-def _report_json(report: SolutionReport) -> dict:
-    coefficients = {
-        name: _form_to_dict(report.assignments[name]) for name in report.unknowns
-    }
-    degeneracy = None
-    if report.delta is not None or report.degeneracy is not None:
-        degeneracy = {
-            "delta": format_fraction(report.delta) if report.delta is not None else None,
-            "vanished": list(report.degeneracy.vanished) if report.degeneracy else [],
-            "note": report.degeneracy.note if report.degeneracy else "",
-        }
-    return {
-        "constraint": format_fraction(report.constraint) if report.constraint is not None else None,
-        "coefficients": coefficients,
-        "free_parameters": list(report.free_parameters),
-        "degeneracy": degeneracy,
-        "consistent": report.consistent,
-        "degree": report.degree,
-        "r": format_fraction(report.r),
-        "a2": format_fraction(report.a2) if report.a2 is not None else None,
-        "kterms": [list(km) for km in report.kterms],
-    }
+def _exact(value: str | None) -> Fraction | None:
+    """The one reader of an exact option: None when the option is absent,
+    and any given value, the empty string included, must parse."""
+    return None if value is None else parse_fraction(value)
+
+
+def _fraction_or_none(value: Fraction | None) -> str | None:
+    return None if value is None else format_fraction(value)
+
+
+def _grid(args, *shapes: TorusShape) -> dict:
+    """The one grid rule, as the JSON diagnostics block: --grid if given,
+    else the finest ``suggest_grid`` over the command's tori."""
+    if args.grid is not None:
+        return {"grid": args.grid, "grid_source": "--grid"}
+    return {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
 
 
 def _emit(payload: dict, text: str, args) -> None:
@@ -181,12 +179,38 @@ def _solve_from_args(args) -> SolutionReport:
             terms = tuple(_parse_list(args.terms, "--terms", _parse_term))
         else:
             terms = default_kterms(args.degree)
-        a2 = parse_fraction(args.a2) if args.a2 else None
-        return solve_with_gauss(args.degree, r, terms, a2)
+        return solve_with_gauss(args.degree, r, terms, _exact(args.a2))
     for flag, value in (("--a2", args.a2), ("--terms", args.terms)):
         if value is not None:
             raise ValueError(f"{flag} only applies together with --with-gauss")
     return solve_pure_h(args.degree, r)
+
+
+def _solve_payload(command: str, args, report: SolutionReport, **inputs) -> dict:
+    """The JSON of solve and verify: the solved family's keys at top level."""
+    payload = _base_payload(
+        command, degree=args.degree, r=args.r, a2=args.a2, terms=args.terms,
+        with_gauss=args.with_gauss, **inputs,
+    )
+    degeneracy = None
+    if report.delta is not None or report.degeneracy is not None:
+        degeneracy = {
+            "delta": _fraction_or_none(report.delta),
+            "vanished": list(report.degeneracy.vanished) if report.degeneracy else [],
+            "note": report.degeneracy.note if report.degeneracy else "",
+        }
+    payload.update(
+        constraint=_fraction_or_none(report.constraint),
+        coefficients={name: _form_to_dict(report.assignments[name]) for name in report.unknowns},
+        free_parameters=list(report.free_parameters),
+        degeneracy=degeneracy,
+        consistent=report.consistent,
+        degree=report.degree,
+        r=format_fraction(report.r),
+        a2=_fraction_or_none(report.a2),
+        kterms=[list(km) for km in report.kterms],
+    )
+    return payload
 
 
 def cmd_solve(args) -> int:
@@ -209,20 +233,7 @@ def cmd_solve(args) -> int:
             "inconsistent system: offending H powers "
             + ", ".join(str(i) for i in report.offending_rows)
         )
-    payload = _base_payload(
-        "solve",
-        degree=args.degree,
-        r=args.r,
-        a2=args.a2,
-        terms=args.terms,
-        with_gauss=bool(args.with_gauss),
-    )
-    rep = _report_json(report)
-    payload["constraint"] = rep["constraint"]
-    payload["coefficients"] = rep["coefficients"]
-    payload["degeneracy"] = rep["degeneracy"]
-    payload["report"] = rep
-    _emit(payload, "\n".join(lines) + "\n", args)
+    _emit(_solve_payload("solve", args, report), "\n".join(lines) + "\n", args)
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
@@ -243,8 +254,8 @@ def cmd_verify(args) -> int:
     else:
         torus = ExactTorus(Fraction(3) * report.r**2, report.r)
     values = _default_free_values(report)
-    grid = args.grid or torus_geometry.suggest_grid(torus.to_shape())
-    result = verify_solution(torus, report, values, grid)
+    diagnostics = _grid(args, torus.to_shape())
+    result = verify_solution(torus, report, values, diagnostics["grid"])
     ok = result.exact and result.numeric_relative < args.tolerance
     text = (
         f"exact residual zero: {result.exact}\n"
@@ -252,59 +263,43 @@ def cmd_verify(args) -> int:
         f"numeric relative residual: {_fmt_float(result.numeric_relative)}\n"
         f"tolerance (relative): {_fmt_float(args.tolerance)}\n"
     )
-    payload = _base_payload(
-        "verify",
-        degree=args.degree,
-        r=args.r,
-        a2=args.a2,
-        terms=args.terms,
-        with_gauss=bool(args.with_gauss),
-        grid=args.grid,
-    )
-    rep = _report_json(report)
-    payload["constraint"] = rep["constraint"]
-    payload["coefficients"] = rep["coefficients"]
-    payload["degeneracy"] = rep["degeneracy"]
+    payload = _solve_payload("verify", args, report, grid=args.grid)
     payload["residuals"] = {
         "exact": result.exact,
         "numeric_max": float(_fmt_float(result.numeric_max_residual)),
         "numeric_relative": float(_fmt_float(result.numeric_relative)),
     }
-    payload["diagnostics"] = {
-        "grid": grid,
-        "grid_source": "--grid" if args.grid else "suggest_grid",
-    }
+    payload["diagnostics"] = diagnostics
     _emit(payload, text, args)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _energy_family(degree: int, r: Fraction) -> tuple[Lagrangian, Fraction]:
-    """Member of the degree-n critical family normalized to a1 = 1, p = 0."""
+def _family_member(
+    degree: int, r: Fraction, ratio: Fraction | None
+) -> tuple[Lagrangian, Fraction | None, Fraction]:
+    """The degree-n pure-H family's a1 = 1 member, with p = 0 where the
+    family has one and else its own pressure, and the a^2/r^2 to evaluate it
+    at: ``ratio`` if given, else the family's constraint (2 for a family
+    that is critical at every ratio).  Returns (member, constraint, ratio)."""
     report = solve_pure_h(degree, r)
     values = _default_free_values(report)
-    other = [f for f in report.free_parameters if f != "a1"]
     p_form = report.assignments[critical_solver.PRESSURE]
+    other = [x for x in report.free_parameters if x != "a1" and p_form.coefficient(x) != 0]
     if other:
-        x = other[0]
-        alpha = p_form.coefficient("a1")
-        beta = p_form.coefficient(x)
-        if beta == 0:
-            raise ValueError("cannot normalize the pressure to zero in this family")
-        values[x] = -alpha / beta
-    elif p_form.evaluate(values) != 0:
-        raise ValueError("this family has no p = 0 member with a1 = 1")
-    return report.lagrangian_at(values), report.constraint
+        values[other[0]] = -p_form.coefficient("a1") / p_form.coefficient(other[0])
+    if ratio is None:
+        ratio = report.constraint if report.constraint is not None else Fraction(2)
+    return report.lagrangian_at(values), report.constraint, ratio
 
 
 def cmd_energy(args) -> int:
-    r = parse_fraction(args.r)
-    if args.degree < 2:
-        raise ValueError("energy reporting needs degree >= 2")
-    lagrangian, constraint = _energy_family(args.degree, r)
-    ratio = parse_fraction(args.ratio) if args.ratio else constraint
-    a2 = parse_fraction(args.a2) if args.a2 else ratio * r * r
-    t = TorusShape.from_squares(a2, r)
-    report = curvature_energy(t, lagrangian, 0.0, args.grid)
+    r, a2 = parse_fraction(args.r), _exact(args.a2)
+    lagrangian, constraint, ratio = _family_member(
+        args.degree, r, _exact(args.ratio) if a2 is None else a2 / (r * r)
+    )
+    t = TorusShape.from_ratio(ratio, r)
+    diagnostics = _grid(args, t)
+    report = curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"])
     text = (
         f"area term: {_fmt_float(report.area_term)}\n"
         f"pressure term: {_fmt_float(report.pressure_term)}\n"
@@ -316,11 +311,12 @@ def cmd_energy(args) -> int:
         "energy",
         degree=args.degree,
         r=args.r,
-        a2=format_fraction(a2),
+        a2=format_fraction(ratio * r * r),
         ratio=format_fraction(ratio),
         grid=args.grid,
     )
-    payload["constraint"] = format_fraction(constraint) if constraint else None
+    payload["constraint"] = _fraction_or_none(constraint)
+    payload["diagnostics"] = diagnostics
     payload["energy"] = {
         "area_term": float(_fmt_float(report.area_term)),
         "pressure_term": float(_fmt_float(report.pressure_term)),
@@ -361,7 +357,8 @@ def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
 
 def cmd_identities(args) -> int:
     torus = ExactTorus(parse_fraction(args.a2), parse_fraction(args.r))
-    checks = _identity_checks(torus, args.grid)
+    diagnostics = _grid(args, torus.to_shape())
+    checks = _identity_checks(torus, diagnostics["grid"])
     lines = []
     worst = 0.0
     for name, err in checks:
@@ -376,6 +373,7 @@ def cmd_identities(args) -> int:
         "numeric_max": float(_fmt_float(worst)),
     }
     payload["checks"] = {name: float(_fmt_float(err)) for name, err in checks}
+    payload["diagnostics"] = diagnostics
     _emit(payload, "\n".join(lines) + "\n", args)
     return EXIT_OK if worst < args.tolerance else EXIT_TOLERANCE
 
@@ -386,15 +384,13 @@ def cmd_scan(args) -> int:
         ratios = _parse_list(args.ratios, "--ratios", parse_fraction)
     else:
         ratios = [Fraction(num, 20) for num in range(24, 81, 4)]
-    if args.degree == 2:
-        lagrangian = Lagrangian.pure_h({2: 1})
-    else:
-        lagrangian, _ = _energy_family(args.degree, r)
-    rows = []
-    for rho in ratios:
-        t = TorusShape.from_ratio(rho, r)
-        value = curvature_energy(t, lagrangian, 0.0, args.grid).area_term
-        rows.append((rho, value))
+    lagrangian, _, _ = _family_member(args.degree, r, None)
+    shapes = [TorusShape.from_ratio(rho, r) for rho in ratios]
+    diagnostics = _grid(args, *shapes)
+    rows = [
+        (rho, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
+        for rho, t in zip(ratios, shapes)
+    ]
     lines = [f"{'a^2/r^2':<12} energy/a1"]
     for rho, value in rows:
         lines.append(f"{format_fraction(rho):<12} {_fmt_float(value)}")
@@ -404,6 +400,7 @@ def cmd_scan(args) -> int:
     payload["scan"] = [
         {"ratio": format_fraction(rho), "energy": float(_fmt_float(v))} for rho, v in rows
     ]
+    payload["diagnostics"] = diagnostics
     _emit(payload, "\n".join(lines) + "\n", args)
     return EXIT_OK
 
@@ -431,16 +428,12 @@ def cmd_second_variation(args) -> int:
         modes[kind][index] = amplitude
     omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
-    if args.degree >= 2:
-        lagrangian, constraint = _energy_family(args.degree, r)
-        ratio = parse_fraction(args.ratio) if args.ratio else constraint
-    else:
-        report = solve_pure_h(1, r)
-        lagrangian = report.lagrangian_at(_default_free_values(report))
-        ratio = parse_fraction(args.ratio) if args.ratio else Fraction(2)
+    lagrangian, _, ratio = _family_member(args.degree, r, _exact(args.ratio))
     t = TorusShape.from_ratio(ratio, r)
-    value = second_variation(t, lagrangian, 0.0, omega, args.grid)
-    coarse = second_variation(t, lagrangian, 0.0, omega, args.grid // 2)
+    diagnostics = _grid(args, t)
+    grid = diagnostics["grid"]
+    value = second_variation(t, lagrangian, lagrangian.pressure, omega, grid)
+    coarse = second_variation(t, lagrangian, lagrangian.pressure, omega, grid // 2)
     text = (
         f"second variation: {_fmt_float(value)}\n"
         f"grid refinement change: {_fmt_float(abs(value - coarse))}\n"
@@ -458,18 +451,20 @@ def cmd_second_variation(args) -> int:
         "pressure_term": 0.0,
         "total": float(_fmt_float(value)),
     }
+    payload["diagnostics"] = diagnostics
     _emit(payload, text, args)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="torusvar", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default=DEFAULT_GRID):
+    def common(p):
         p.add_argument("--r", default="1", help="small radius r as an exact fraction")
-        p.add_argument("--grid", type=int, default=grid_default, help="u-grid size")
+        p.add_argument("--grid", type=int, help="u-grid size (default: suggest_grid of the torus)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
@@ -479,7 +474,6 @@ def build_parser() -> _Parser:
     p.add_argument("--with-gauss", action="store_true", help="include Gaussian curvature terms")
     p.add_argument("--terms", default=None, help="K-term list, e.g. K2,HK,H2K")
     common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="solve, then check the family against both residual routes")
     p.add_argument("--degree", type=int, required=True)
@@ -487,44 +481,41 @@ def build_parser() -> _Parser:
     p.add_argument("--with-gauss", action="store_true")
     p.add_argument("--terms", default=None)
     p.add_argument("--tolerance", type=float, default=1e-8)
-    common(p, grid_default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("energy", help="quadrature energy of the a1-normalized p=0 family")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ratio", default=None, help="evaluate on a torus of this a^2/r^2")
-    p.add_argument("--a2", default=None)
     common(p)
-    p.set_defaults(func=cmd_energy)
+
+    p = sub.add_parser("energy", help="quadrature energy of the family's a1 = 1 member")
+    p.add_argument("--degree", type=int, required=True)
+    torus = p.add_mutually_exclusive_group()
+    torus.add_argument("--ratio", default=None, help="evaluate on a torus of this a^2/r^2")
+    torus.add_argument("--a2", default=None, help="evaluate on a torus of this exact a^2")
+    common(p)
 
     p = sub.add_parser("identities", help="closed-form operators vs the spectral oracle")
     p.add_argument("--a2", required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
     common(p)
-    p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("scan", help="energy over a grid of aspect ratios")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--ratios", default=None, help="comma-separated list of a^2/r^2 values")
     common(p)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("second-variation", help="quadratic form at a critical family member")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ratio", default=None)
     p.add_argument("--modes", default="cos1=1", help="perturbation modes, e.g. cos1=1,sin2=0.5")
     common(p)
-    p.set_defaults(func=cmd_second_variation)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the command is looked up per call, not bound into the shared parser
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         _check_options(args)
-        return args.func(args)
+        return command(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"torusvar: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,6 +10,10 @@ its own nodes and curvatures, evaluates each term of a Lagrangian as
 ``float(c) * h**i * k**j``, and each operator differences its own input.
 The package shares that work within one call; the tests require it to give
 the same floats, bit for bit.
+
+The last part is the profile-curve oracle of the first and second variation:
+it perturbs the torus's circle along its normal and recomputes the curvatures
+from that curve alone.
 """
 
 import math
@@ -273,3 +277,44 @@ def ref_identity_checks(torus, n):
     for k in range(2, 6):
         checks.append((f"div_bar(H^{k})", compare(divbar_poly(torus, HPoly.monomial(k)), ref_divbar(shape, h**k))))
     return checks
+
+
+def fft_derivatives(f):
+    n = f.shape[0]
+    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
+    spectrum = np.fft.fft(f)
+    first = spectrum * 1j * wavenumbers
+    first[n // 2] = 0.0
+    return np.fft.ifft(first).real, np.fft.ifft(-spectrum * wavenumbers**2).real
+
+
+def area_part_and_volume(lagrangian, a, r, eps, mode, n):
+    """Integral of E dA and the enclosed volume of the surface of revolution
+    generated by the torus's circle pushed out along its normal by
+    eps * cos(mode * u)."""
+    u = 2.0 * np.pi * np.arange(n) / n
+    radius = r + eps * np.cos(mode * u)
+    rho = a + radius * np.cos(u)  # distance from the axis
+    z = radius * np.sin(u)
+    d_rho, dd_rho = fft_derivatives(rho)
+    d_z, dd_z = fft_derivatives(z)
+    speed = np.hypot(d_rho, d_z)
+    meridian = (d_rho * dd_z - d_z * dd_rho) / speed**3
+    parallel = d_z / (rho * speed)
+    h, k = 0.5 * (meridian + parallel), meridian * parallel
+    density = sum(float(c) * h**i * k**j for (i, j), c in lagrangian.terms.items())
+    du = 2.0 * np.pi / n
+    area_part = 2.0 * np.pi * float(np.sum(density * rho * speed)) * du
+    volume = np.pi * float(np.sum(rho**2 * d_z)) * du
+    return area_part, volume
+
+
+def second_difference(lagrangian, pressure, a, r, mode, n=512, step=1e-4):
+    """Fourth-order central second difference of integral E dA - p V along
+    the normal perturbation eps * cos(mode * u)."""
+    weights = {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}
+    second = 0.0
+    for s, weight in weights.items():
+        area_part, volume = area_part_and_volume(lagrangian, a, r, s * step, mode, n)
+        second += weight * (area_part - float(pressure) * volume) / (12.0 * step**2)
+    return second

@@ -73,7 +73,7 @@ from torusvar.torus_geometry import (
     spectral_derivative,
 )
 
-from oracles import laplacian_pow_leading_coeffs
+from oracles import area_part_and_volume, laplacian_pow_leading_coeffs, second_difference
 
 PI2 = math.pi**2
 
@@ -307,36 +307,6 @@ def test_acceptance_5a_theorem2_families_at_arbitrary_radii():
 FIRST_VARIATION_TOL = 1e-8
 
 
-def _fft_derivatives(f):
-    n = f.shape[0]
-    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
-    spectrum = np.fft.fft(f)
-    first = spectrum * 1j * wavenumbers
-    first[n // 2] = 0.0
-    return np.fft.ifft(first).real, np.fft.ifft(-spectrum * wavenumbers**2).real
-
-
-def _area_part_and_volume(lagrangian, a, r, eps, mode, n):
-    """Integral of E dA and the enclosed volume of the surface of revolution
-    generated by the torus's circle pushed out along its normal by
-    eps * cos(mode * u)."""
-    u = 2.0 * np.pi * np.arange(n) / n
-    radius = r + eps * np.cos(mode * u)
-    rho = a + radius * np.cos(u)  # distance from the axis
-    z = radius * np.sin(u)
-    d_rho, dd_rho = _fft_derivatives(rho)
-    d_z, dd_z = _fft_derivatives(z)
-    speed = np.hypot(d_rho, d_z)
-    meridian = (d_rho * dd_z - d_z * dd_rho) / speed**3
-    parallel = d_z / (rho * speed)
-    h, k = 0.5 * (meridian + parallel), meridian * parallel
-    density = sum(float(c) * h**i * k**j for (i, j), c in lagrangian.terms.items())
-    du = 2.0 * np.pi / n
-    area_part = 2.0 * np.pi * float(np.sum(density * rho * speed)) * du
-    volume = np.pi * float(np.sum(rho**2 * d_z)) * du
-    return area_part, volume
-
-
 def _relative_first_variation(lagrangian, a, r, volume_multiplier, n=512, step=1e-4):
     """Largest |dF/d eps| of F = integral E dA + volume_multiplier * V over the
     normal perturbations eps * cos(j u), j = 0..3, relative to the largest
@@ -346,7 +316,7 @@ def _relative_first_variation(lagrangian, a, r, volume_multiplier, n=512, step=1
     for j in range(4):
         d_area = d_volume = 0.0
         for s, weight in weights.items():
-            area_part, volume = _area_part_and_volume(lagrangian, a, r, s * step, j, n)
+            area_part, volume = area_part_and_volume(lagrangian, a, r, s * step, j, n)
             d_area += weight * area_part / (12.0 * step)
             d_volume += weight * volume / (12.0 * step)
         area_slopes.append(d_area)
@@ -458,14 +428,10 @@ def test_second_variation_matches_the_functional_at_the_helfrich_member():
     k_c, c0, r, pressure, _ = _quadratic_family_relations()
     lag = solve_pure_h(2, r).lagrangian_at({"a1": 2 * k_c, "a2": 2 * k_c * c0})
     a2 = 2 * r * r
-    a, n, step = math.sqrt(a2), 512, 1e-4
+    a, n = math.sqrt(a2), 512
     shape = TorusShape.from_squares(a2, r)
-    weights = {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}
     for j in range(4):
-        second = 0.0
-        for s, weight in weights.items():
-            area_part, volume = _area_part_and_volume(lag, a, float(r), s * step, j, n)
-            second += weight * (area_part - float(pressure) * volume) / (12.0 * step**2)
+        second = second_difference(lag, pressure, a, float(r), j, n)
         form = second_variation(shape, lag, float(pressure), Perturbation({j: 1.0}), n)
         assert abs(form - second) / abs(second) < 1e-7, (j, form, second)
 

@@ -1,13 +1,25 @@
 import json
+import math
+import os
+import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from torusvar.cli import main
+import torusvar
+from torusvar.cli import build_parser, main
 from torusvar.exact_algebra import parse_fraction
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import Lagrangian, el_residual
+
+from oracles import second_difference
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+NUMERIC_COMMANDS = ("verify", "energy", "identities", "scan", "second-variation")
 
 
 def run(capsys, *argv):
@@ -152,10 +164,20 @@ def test_second_variation_command(capsys):
     assert "second variation:" in out
 
 
-def test_second_variation_first_order_family(capsys):
-    code, out = run(capsys, "second-variation", "--degree", "1", "--r", "1", "--modes", "sin1=0.5")
+@pytest.mark.parametrize("mode", [0, 2, 3])
+def test_second_variation_first_order_family(capsys, mode):
+    # the degree-1 member a1 = 1, a2 = -1/r has no p = 0 sibling, so it is
+    # evaluated at its own p = -1/r^2; the profile-curve oracle differences
+    # integral E dA - p V along eps * cos(mode u) at that p
+    code, out = run(
+        capsys, "second-variation", "--degree", "1", "--r", "1", "--ratio", "2",
+        "--modes", f"cos{mode}=1", "--format", "json",
+    )
     assert code == 0
-    assert "second variation:" in out
+    total = json.loads(out)["energy"]["total"]
+    member = Lagrangian.pure_h({1: 1, 0: -1}, pressure=-1)
+    expected = second_difference(member, member.pressure, math.sqrt(2), 1.0, mode)
+    assert abs(total - expected) / abs(expected) < 1e-6, (total, expected)
 
 
 def test_bad_input_exit_code(capsys):
@@ -241,10 +263,10 @@ def test_json_report_round_trips_and_reverifies(tmp_path, capsys):
             else:
                 value += parse_fraction(coeff) * frees[param]
         coeffs[name] = value
-    degree = payload["report"]["degree"]
+    degree = payload["degree"]
     terms = {(degree - i, 0): coeffs[f"a{i + 1}"] for i in range(degree + 1)}
     lag = Lagrangian(terms, pressure=coeffs["p"])
-    torus = ExactTorus(parse_fraction(payload["report"]["a2"]), parse_fraction(payload["report"]["r"]))
+    torus = ExactTorus(parse_fraction(payload["a2"]), parse_fraction(payload["r"]))
     assert el_residual(torus, lag).is_zero
 
 
@@ -278,9 +300,13 @@ def test_text_output_is_deterministic(capsys):
         (["solve", "--degree", "3", "--terms", ""], "--terms only applies together with --with-gauss"),
         (["scan", "--ratios", ""], "--ratios: empty list ''"),
         (["scan", "--ratios", "3/2,2,4/2"], "--ratios: '4/2' repeats '2'"),
+        # an empty exact option is a value that does not parse, not an absent one
+        (["energy", "--degree", "2", "--ratio", ""], "not a rational number: ''"),
+        (["second-variation", "--degree", "2", "--ratio", ""], "not a rational number: ''"),
+        (["solve", "--degree", "4", "--with-gauss", "--terms", "K2,HK", "--a2", "", "--r", "1"], "not a rational number: ''"),
     ],
 )
-def test_list_options_that_are_empty_or_repeated_are_bad_input(capsys, argv, message):
+def test_empty_or_repeated_options_are_bad_input(capsys, argv, message):
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -314,3 +340,78 @@ def test_tolerance_must_be_finite_and_positive(capsys, monkeypatch, command, tol
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--tolerance must be a finite number > 0, got {float(tolerance)}" in captured.err
+
+
+def test_energy_takes_either_ratio_or_a2(capsys):
+    # argparse rejects the pair, so the process exits 4 from the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--degree", "2", "--ratio", "3", "--a2", "2"])
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --a2: not allowed with argument --ratio" in captured.err
+
+
+def test_energy_reports_the_ratio_it_used(capsys):
+    # a^2 = 3 at r = 1 is a torus of ratio 3, not the family's constraint 6/5
+    code, out = run(capsys, "energy", "--degree", "3", "--a2", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["ratio"] == "3" and payload["inputs"]["a2"] == "3"
+    assert payload["constraint"] == "6/5"
+    _, ratio_out = run(capsys, "energy", "--degree", "3", "--ratio", "3", "--format", "json")
+    assert json.loads(ratio_out)["energy"] == payload["energy"]
+
+
+def test_energy_picks_a_grid_that_resolves_the_degree_eight_family(capsys):
+    # a^2/r^2 = 56/55: grid 256 misses the converged area term by 66
+    code, out = run(capsys, "energy", "--degree", "8", "--r", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["diagnostics"] == {"grid": 1024, "grid_source": "suggest_grid"}
+    _, text = run(capsys, "energy", "--degree", "8", "--r", "1")
+    error = float(text.split("quadrature error estimate: ")[1])
+    assert error < 1e-3
+
+
+def test_scan_near_ratio_one_matches_the_closed_form(capsys):
+    code, out = run(capsys, "scan", "--ratios", "101/100", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["scan"]
+    rho = 1.01
+    closed = math.pi**2 * rho / math.sqrt(rho - 1.0)
+    assert abs(row["energy"] - closed) / closed < 1e-13
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    assert main(["energy", "--degree", "2", "--ratio", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    code, second = run(capsys, "energy", "--degree", "2")
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(torusvar.__file__).resolve().parent.parent))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "torusvar.cli", "energy", "--degree", "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert second == fresh.stdout
+
+
+def _readme_commands() -> list[list[str]]:
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("torusvar ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        payload = json.loads(out)
+        for key in ("command", "inputs", "constraint", "coefficients", "degeneracy", "energy", "residuals", "version"):
+            assert key in payload, (argv, key)
+        assert payload["version"] == torusvar.__version__
+        if argv[0] in NUMERIC_COMMANDS:
+            assert set(payload["diagnostics"]) == {"grid", "grid_source"}, argv
+            assert payload["inputs"]["grid"] == (payload["diagnostics"]["grid"] if "--grid" in argv else None)
