@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -75,24 +76,10 @@ def _parse_list(spec: str, option: str, parse, key=lambda item: item) -> list:
 
 def _parse_term(token: str) -> tuple[int, int]:
     """Parse one term like ``K2``, ``HK`` or ``H2K`` into (H power, K power)."""
-    i = 0
-    h_pow = 0
-    k_pow = 0
-    if i < len(token) and token[i] == "H":
-        i += 1
-        j = i
-        while j < len(token) and token[j].isdigit():
-            j += 1
-        h_pow = int(token[i:j]) if j > i else 1
-        i = j
-    if i < len(token) and token[i] == "K":
-        i += 1
-        j = i
-        while j < len(token) and token[j].isdigit():
-            j += 1
-        k_pow = int(token[i:j]) if j > i else 1
-        i = j
-    if i != len(token) or k_pow < 1:
+    match = re.fullmatch(r"(H(\d*))?K(\d*)", token)
+    h_pow = int(match[2] or 1) if match and match[1] else 0
+    k_pow = int(match[3] or 1) if match else 0
+    if k_pow < 1:
         raise ValueError(f"bad term {token!r}: expected forms like K2, HK, H2K")
     return h_pow, k_pow
 
@@ -102,13 +89,6 @@ def _form_to_dict(form: LinearForm) -> dict[str, str]:
     if form.constant != 0:
         out["const"] = format_fraction(form.constant)
     return out
-
-
-def _form_to_text(form: LinearForm) -> str:
-    bits = [f"{format_fraction(c)}*{name}" for name, c in sorted(form.terms.items())]
-    if form.constant != 0 or not bits:
-        bits.append(format_fraction(form.constant))
-    return " + ".join(bits)
 
 
 def _exact(value: str | None) -> Fraction | None:
@@ -227,7 +207,7 @@ def cmd_solve(args) -> int:
     lines.append(f"free parameters: {', '.join(report.free_parameters)}")
     lines.append("coefficients:")
     for name in report.unknowns:
-        lines.append(f"  {name} = {_form_to_text(report.assignments[name])}")
+        lines.append(f"  {name} = {report.assignments[name]}")
     if not report.consistent:
         lines.append(
             "inconsistent system: offending H powers "
@@ -244,15 +224,18 @@ def _default_free_values(report: SolutionReport) -> dict[str, Fraction]:
     return values
 
 
+def _family_ratio(report: SolutionReport) -> Fraction:
+    """The a^2/r^2 a solved family is evaluated at: its own, else 2 for a
+    family that is critical at every ratio."""
+    return Fraction(2) if report.a2 is None else report.a2 / report.r**2
+
+
 def cmd_verify(args) -> int:
     report = _solve_from_args(args)
     if not report.consistent:
         print("inconsistent system; nothing to verify", file=sys.stderr)
         return EXIT_INCONSISTENT
-    if report.a2 is not None:
-        torus = report.exact_torus()
-    else:
-        torus = ExactTorus(Fraction(3) * report.r**2, report.r)
+    torus = ExactTorus(_family_ratio(report) * report.r**2, report.r)
     values = _default_free_values(report)
     diagnostics = _grid(args, torus.to_shape())
     result = verify_solution(torus, report, values, diagnostics["grid"])
@@ -279,8 +262,8 @@ def _family_member(
 ) -> tuple[Lagrangian, Fraction | None, Fraction]:
     """The degree-n pure-H family's a1 = 1 member, with p = 0 where the
     family has one and else its own pressure, and the a^2/r^2 to evaluate it
-    at: ``ratio`` if given, else the family's constraint (2 for a family
-    that is critical at every ratio).  Returns (member, constraint, ratio)."""
+    at: ``ratio`` if given, else ``_family_ratio``.  Returns (member,
+    constraint, ratio)."""
     report = solve_pure_h(degree, r)
     values = _default_free_values(report)
     p_form = report.assignments[critical_solver.PRESSURE]
@@ -288,7 +271,7 @@ def _family_member(
     if other:
         values[other[0]] = -p_form.coefficient("a1") / p_form.coefficient(other[0])
     if ratio is None:
-        ratio = report.constraint if report.constraint is not None else Fraction(2)
+        ratio = _family_ratio(report)
     return report.lagrangian_at(values), report.constraint, ratio
 
 
@@ -368,10 +351,7 @@ def cmd_identities(args) -> int:
     payload = _base_payload(
         "identities", a2=args.a2, r=args.r, grid=args.grid
     )
-    payload["residuals"] = {
-        "exact": False,
-        "numeric_max": float(_fmt_float(worst)),
-    }
+    payload["residuals"] = {"numeric_max": float(_fmt_float(worst))}
     payload["checks"] = {name: float(_fmt_float(err)) for name, err in checks}
     payload["diagnostics"] = diagnostics
     _emit(payload, "\n".join(lines) + "\n", args)
@@ -446,11 +426,7 @@ def cmd_second_variation(args) -> int:
         modes=args.modes,
         grid=args.grid,
     )
-    payload["energy"] = {
-        "area_term": float(_fmt_float(value)),
-        "pressure_term": 0.0,
-        "total": float(_fmt_float(value)),
-    }
+    payload["energy"] = {"total": float(_fmt_float(value))}
     payload["diagnostics"] = diagnostics
     _emit(payload, text, args)
     return EXIT_OK
@@ -510,7 +486,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help, --version and input the parser rejects end in its exit code
+        return exc.code
     # the command is looked up per call, not bound into the shared parser
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

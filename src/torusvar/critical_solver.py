@@ -153,12 +153,8 @@ class SolutionReport:
     def lagrangian_at(self, free_values: Mapping[str, Fraction]) -> Lagrangian:
         """Instantiate the family at concrete free-parameter values."""
         values = {name: Fraction(v) for name, v in free_values.items()}
-        resolved = {
-            name: form.evaluate(values) for name, form in self.assignments.items()
-        }
-        template = family_lagrangian(self.degree, self.kterms)
-        terms = {km: resolved[c] for km, c in template.terms.items()}
-        return Lagrangian(terms, pressure=resolved[PRESSURE])
+        resolved = {name: form.evaluate(values) for name, form in self.assignments.items()}
+        return family_lagrangian(self.degree, self.kterms).substitute(resolved)
 
     def exact_torus(self) -> ExactTorus:
         if self.a2 is None:

@@ -217,11 +217,14 @@ class LinearForm:
                 out = out + LinearForm.variable(name, coeff)
         return out
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
         bits = [f"{v}*{k}" for k, v in sorted(self.terms.items())]
         if self.constant != 0 or not bits:
             bits.append(str(self.constant))
-        return "LinearForm(" + " + ".join(bits) + ")"
+        return " + ".join(bits)
+
+    def __repr__(self) -> str:
+        return f"LinearForm({self})"
 
 
 @dataclass(frozen=True)

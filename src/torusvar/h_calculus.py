@@ -31,7 +31,6 @@ constrained tori have irrational a).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,7 +90,7 @@ class ExactTorus:
         return self.a2 / self.r2
 
     def to_shape(self) -> TorusShape:
-        return TorusShape(a=math.sqrt(self.a2), r=float(self.r), a2=self.a2, r2=self.r2)
+        return TorusShape.from_squares(self.a2, self.r)
 
 
 def _on_torus(t: ExactTorus, table: IntTable, weight: int) -> HPoly:

@@ -107,21 +107,21 @@ def grid_nodes(n: int = DEFAULT_GRID) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def suggest_grid(t: TorusShape, base: int = DEFAULT_GRID, tail: float = 1e-14) -> int:
+def suggest_grid(t: TorusShape) -> int:
     """Grid size that resolves this torus's curvature fields spectrally.
 
     Fields on the torus are analytic with Fourier modes decaying like q**k,
     q = r / (a + sqrt(a^2 - r^2)); aspect ratios close to 1 decay slowly and
     need more than the default grid.  The residual applies two derivatives,
     which multiply mode k by k**2, so this returns the smallest power-of-two
-    multiple of ``base`` whose Nyquist mode k = N/2 has k**2 q**k below
-    ``tail``.  A torus that needs more than ``MAX_GRID`` points raises
+    multiple of ``DEFAULT_GRID`` whose Nyquist mode k = N/2 has k**2 q**k
+    below 1e-14.  A torus that needs more than ``MAX_GRID`` points raises
     ValueError before any grid is allocated.
     """
     s = t.a / t.r
     q = 1.0 / (s + math.sqrt(s * s - 1.0))
-    n = base
-    while (n / 2) ** 2 * q ** (n / 2) >= tail:
+    n = DEFAULT_GRID
+    while (n / 2) ** 2 * q ** (n / 2) >= 1e-14:
         n *= 2
     if n > MAX_GRID:
         ratio = t.a2 / t.r2 if t.a2 is not None else t.ratio

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import torusvar
-from torusvar.cli import build_parser, main
+from torusvar.cli import _parse_term, build_parser, main
+from torusvar.critical_solver import solve_pure_h, verify_solution
 from torusvar.exact_algebra import parse_fraction
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import Lagrangian, el_residual
@@ -180,6 +181,20 @@ def test_second_variation_first_order_family(capsys, mode):
     assert abs(total - expected) / abs(expected) < 1e-6, (total, expected)
 
 
+@pytest.mark.parametrize(
+    "token, powers",
+    [("K", (0, 1)), ("K2", (0, 2)), ("HK", (1, 1)), ("H2K", (2, 1)), ("H0K3", (0, 3)), ("H12K10", (12, 10))],
+)
+def test_parse_term(token, powers):
+    assert _parse_term(token) == powers
+
+
+@pytest.mark.parametrize("token", ["", "H", "H2", "KH", "HHK", "K0", "H2K0", "X2", "2K", "K2 "])
+def test_parse_term_rejects(token):
+    with pytest.raises(ValueError, match=r"expected forms like K2, HK, H2K"):
+        _parse_term(token)
+
+
 def test_bad_input_exit_code(capsys):
     assert main(["solve", "--degree", "0", "--r", "1"]) == 4
     capsys.readouterr()
@@ -343,13 +358,67 @@ def test_tolerance_must_be_finite_and_positive(capsys, monkeypatch, command, tol
 
 
 def test_energy_takes_either_ratio_or_a2(capsys):
-    # argparse rejects the pair, so the process exits 4 from the parser
-    with pytest.raises(SystemExit) as exc:
-        main(["energy", "--degree", "2", "--ratio", "3", "--a2", "2"])
-    assert exc.value.code == 4
+    # argparse rejects the pair, and main returns the parser's exit code 4
+    assert main(["energy", "--degree", "2", "--ratio", "3", "--a2", "2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --a2: not allowed with argument --ratio" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--degree", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["solve", "--degree", "3", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ],
+)
+def test_parser_rejections_are_returned_as_exit_four(capsys, argv, message):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_zero(capsys, flag):
+    assert main([flag]) == 0
+    assert capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(torusvar.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "torusvar.cli", flag], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0 and done.stdout
+
+
+def test_second_variation_json_reports_only_the_total(capsys):
+    argv = ["second-variation", "--degree", "1", "--modes", "cos2=1"]
+    _, text = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    energy = json.loads(out)["energy"]
+    assert set(energy) == {"total"}
+    assert energy["total"] == float(text.split("second variation: ")[1].split()[0])
+
+
+def test_identities_json_reports_no_exact_residual(capsys):
+    code, out = run(capsys, "identities", "--a2", "2", "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["residuals"]) == {"numeric_max"}
+
+
+def test_verify_evaluates_a_radius_free_family_at_ratio_two(capsys):
+    # the same torus a^2 = 2r^2 that energy, scan and second-variation use
+    code, out = run(capsys, "verify", "--degree", "1", "--r", "1/2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    report = solve_pure_h(1, Fraction(1, 2))
+    values = {name: Fraction(name == "a1") for name in report.free_parameters}
+    result = verify_solution(
+        ExactTorus(Fraction(1, 2), Fraction(1, 2)), report, values, payload["diagnostics"]["grid"]
+    )
+    # numeric_max alone reads the same at ratio 3; the relative residual does not
+    assert payload["residuals"]["numeric_max"] == float(f"{result.numeric_max_residual:.15g}")
+    assert payload["residuals"]["numeric_relative"] == float(f"{result.numeric_relative:.15g}")
 
 
 def test_energy_reports_the_ratio_it_used(capsys):

@@ -18,6 +18,13 @@ from torusvar.shape_equation import ResidualRows
 from oracles import exact_families, gauss_jordan
 
 
+def test_linear_form_text_is_its_str_and_repr_wraps_it():
+    form = LinearForm({"a3": Fraction(-1, 2), "a1": 3}, constant=Fraction(5, 4))
+    assert str(form) == "3*a1 + -1/2*a3 + 5/4"
+    assert repr(form) == "LinearForm(3*a1 + -1/2*a3 + 5/4)"
+    assert str(LinearForm()) == "0"
+
+
 def test_add_pads_shorter_operand():
     assert (HPoly.of([1, 2]) + HPoly.of([0, 0, 3])).coeffs == (1, 2, 3)
 
