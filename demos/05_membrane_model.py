@@ -3,18 +3,19 @@
 The quadratic density (k_c/2)(2H + c0)^2 + w is the degree-2 case of the
 general machinery.  Solving the torus criticality system expresses the
 pressure and tension through k_c, c0 and r; a sphere is critical exactly
-when the constant-curvature algebraic relation holds.  Reduced-volume
-diagnostics connect the aspect ratio to the sphericity parameter used for
-vesicles.
+when the constant-curvature algebraic relation holds.  The reduced volume v
+of a torus fixes its aspect ratio: a^2/r^2 = 1/((16 pi^2/81) v^4), the
+relation to the sphericity parameter used for vesicles.
 """
 
+import math
 from fractions import Fraction
 
 from torusvar import (
     HelfrichParams,
     TorusShape,
+    area_volume,
     helfrich_lagrangian,
-    membrane_diagnostics,
     solve_pure_h,
     sphere_residual,
 )
@@ -36,12 +37,9 @@ for radius in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)):
     res = sphere_residual(radius, lag, params.p)
     print(f"  R = {radius}: residual {res}{'  (critical)' if res == 0 else ''}")
 
-print("\nreduced-volume diagnostics:")
+print("\nreduced volume v and the aspect ratio 1/((16 pi^2/81) v^4) it implies:")
+seifert = 16 * math.pi**2 / 81
 for ratio in (Fraction(2), Fraction(3), Fraction(2049, 1000)):
-    t = TorusShape.from_ratio(ratio, 1)
-    d = membrane_diagnostics(t)
-    print(
-        f"  a^2/r^2 = {float(ratio):6.3f}: v = {d.reduced_volume:.4f}, "
-        f"rounded-constant gap {100 * d.ratio_check:.2f}%, exact-constant ratio {d.seifert_ratio:.6f}"
-    )
+    v = area_volume(TorusShape.from_ratio(ratio, 1)).reduced_volume
+    print(f"  a^2/r^2 = {float(ratio):6.3f}: v = {v:.4f}, 1/((16 pi^2/81) v^4) = {1 / (seifert * v**4):.6f}")
 print("\nthe measured vesicle value a/r = 1.43 corresponds to a^2/r^2 =", f"{1.43**2:.4f}")

@@ -16,7 +16,6 @@ from .critical_solver import solve_pure_h, solve_with_gauss, verify_solution
 from .energetics import (
     Perturbation,
     curvature_energy,
-    membrane_diagnostics,
     second_variation,
     willmore_scan,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "helfrich_lagrangian",
     "laplacian_h",
     "lb_numeric",
-    "membrane_diagnostics",
     "second_variation",
     "solve_pure_h",
     "solve_with_gauss",

@@ -135,10 +135,10 @@ def _base_payload(command: str, **inputs) -> dict:
 
 
 def _check_options(args) -> None:
-    """Reject, before any work, a --grid the spectral oracles cannot use (odd
-    or below 16 points; second-variation also evaluates at grid/2, so it
-    needs 32 and a multiple of 4) and a --tolerance that is not a finite
-    positive number."""
+    """Reject, before any work, a --grid the spectral oracles cannot use (odd,
+    below 16 points or above ``MAX_GRID``; second-variation also evaluates
+    at grid/2, so it needs 32 and a multiple of 4) and a --tolerance that is
+    not a finite positive number."""
     if args.grid is not None:
         if args.command == "second-variation":
             minimum, step = 32, 4
@@ -147,6 +147,8 @@ def _check_options(args) -> None:
             minimum, step, reason = 16, 2, ""
         if args.grid < minimum or args.grid % step:
             raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
+        if args.grid > torus_geometry.MAX_GRID:
+            raise ValueError(f"--grid must be at most {torus_geometry.MAX_GRID}, got {args.grid}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"--tolerance must be a finite number > 0, got {tolerance}")
@@ -412,6 +414,9 @@ def cmd_second_variation(args) -> int:
     t = TorusShape.from_ratio(ratio, r)
     diagnostics = _grid(args, t)
     grid = diagnostics["grid"]
+    top = max((*modes["cos"], *modes["sin"]))
+    if top >= grid // 4:
+        raise ValueError(f"--modes: mode {top} is not below grid/4 = {grid // 4}, the Nyquist mode of grid/2")
     value = second_variation(t, lagrangian, lagrangian.pressure, omega, grid)
     coarse = second_variation(t, lagrangian, lagrangian.pressure, omega, grid // 2)
     text = (

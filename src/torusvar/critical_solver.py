@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import shape_equation
-from .exact_algebra import LinearForm, LinearSolution, solve_linear_system, solve_rows
+from .exact_algebra import LinearForm, solve_rows
 from .h_calculus import ExactTorus
 from .shape_equation import Lagrangian, ResidualRows, el_residual
 from .torus_geometry import DEFAULT_GRID
@@ -36,11 +36,9 @@ __all__ = [
     "SolutionReport",
     "DegeneracyInfo",
     "VerificationResult",
-    "constraint_ratio",
     "default_kterms",
     "theorem_kterms",
     "family_lagrangian",
-    "solve_lagrangian",
     "solve_pure_h",
     "solve_with_gauss",
     "delta_radii_polynomial",
@@ -48,13 +46,6 @@ __all__ = [
 ]
 
 PRESSURE = "p"
-
-
-def constraint_ratio(n: int) -> Fraction:
-    """Aspect ratio a^2/r^2 forced on the degree-n pure-H family, n >= 2."""
-    if n < 2:
-        raise ValueError("the ratio constraint exists only for degree >= 2")
-    return Fraction(n * n - n, n * n - n - 1)
 
 
 def default_kterms(n: int) -> tuple[tuple[int, int], ...]:
@@ -327,18 +318,6 @@ def solve_with_gauss(
     if ratio is None:
         raise ValueError("top row vanishes identically; provide a2 explicitly")
     return _solve_family(n, terms, rows, r, ratio, ratio)
-
-
-def solve_lagrangian(t: ExactTorus, lagrangian: Lagrangian) -> LinearSolution:
-    """Solve an arbitrary mixed known/unknown Lagrangian at fixed radii.
-
-    Fixed coefficients turn the system affine, so it can be inconsistent;
-    that outcome signals the torus is not a critical point for any member of
-    the given family and is reported rather than raised (``offending_rows``
-    are powers of H).
-    """
-    system = shape_equation.el_system(t, lagrangian)
-    return solve_linear_system(system.rows, system.unknowns)
 
 
 def verify_solution(

@@ -1,11 +1,12 @@
-"""Energies, reduced-volume diagnostics, and the second-variation form.
+"""Energies, bending-energy scans, and the second-variation form.
 
 All integrals here are periodic-trapezoid quadratures in u (times the exact
 2 pi of the symmetry direction), which converge spectrally for the smooth
 periodic integrands on the torus; the default 256-point grid leaves errors
 far below the tolerances asserted anywhere in the test suite.  Each call
 samples its torus once per grid (:class:`torusvar.torus_geometry.SampledTorus`)
-and differences each field once.
+and differences each field once.  The reduced volume is closed-form:
+``torus_geometry.area_volume(t).reduced_volume``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .torus_geometry import (
     DEFAULT_GRID,
     SampledTorus,
     TorusShape,
-    area_volume,
     divbar_numeric,
     lb_numeric,
     spectral_derivative,
@@ -30,16 +30,10 @@ from .torus_geometry import (
 __all__ = [
     "EnergyReport",
     "Perturbation",
-    "MembraneDiagnostics",
     "curvature_energy",
     "willmore_scan",
     "second_variation",
-    "membrane_diagnostics",
-    "SEIFERT_CONSTANT_APPROX",
 ]
-
-# rounded form of 16 pi^2 / 81 used in the vesicle literature
-SEIFERT_CONSTANT_APPROX = 1.94
 
 
 @dataclass(frozen=True)
@@ -104,23 +98,6 @@ class Perturbation:
         for j, c in self.sin_modes.items():
             total = total + c * np.sin(j * u)
         return total
-
-
-@dataclass(frozen=True)
-class MembraneDiagnostics:
-    """Reduced-volume diagnostics of a torus.
-
-    ``ratio_check`` is the relative gap between the actual aspect ratio and
-    the rounded-constant prediction 1/(1.94 v^4); ``seifert_ratio`` is the
-    same prediction with the exact constant 16 pi^2/81, which reproduces the
-    aspect ratio identically.
-    """
-
-    reduced_volume: float
-    ratio_check: float
-    seifert_ratio: float
-    approx_constant: float
-    exact_constant: float
 
 
 def curvature_energy(
@@ -217,19 +194,3 @@ def second_variation(
     value = s.area_integral(integrand)
     # the v average of cos^2(m v) halves every term for a genuine v mode
     return 0.5 * value if v_mode >= 1 else value
-
-
-def membrane_diagnostics(t: TorusShape, n: int = DEFAULT_GRID) -> MembraneDiagnostics:
-    """Reduced volume v and the aspect-ratio relations it implies."""
-    av = area_volume(t, n)
-    v = av.reduced_volume
-    ratio = (t.a / t.r) ** 2
-    exact_constant = 16.0 * math.pi**2 / 81.0
-    predicted = 1.0 / (SEIFERT_CONSTANT_APPROX * v**4)
-    return MembraneDiagnostics(
-        reduced_volume=v,
-        ratio_check=abs(ratio - predicted) / ratio,
-        seifert_ratio=1.0 / (exact_constant * v**4),
-        approx_constant=SEIFERT_CONSTANT_APPROX,
-        exact_constant=exact_constant,
-    )

@@ -12,10 +12,11 @@ comparison here.  Three layers are provided.
 * ``solve_rows`` -- exact solving of rational row vectors, entirely in
   integers (sparse fraction-free elimination: a pivot touches only the rows
   with a nonzero entry in its column, and every row is kept coprime);
-  ``solve_linear_system`` and ``nullspace`` (``LinearForm`` rows, each read
-  as ``form == 0``) and the critical families all go through it.  The
-  solved coefficients in the examples of interest reach seven-digit
-  numerators, so keeping the integers small matters.
+  ``solve_linear_system`` (``LinearForm`` rows, each read as
+  ``form == 0``) and the critical families both go through it.  A kernel
+  basis of homogeneous rows is the free-parameter coefficients of the
+  solved assignments.  The solved coefficients in the examples of interest
+  reach seven-digit numerators, so keeping the integers small matters.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "LinearSolution",
     "solve_rows",
     "solve_linear_system",
-    "nullspace",
     "parse_fraction",
     "format_fraction",
 ]
@@ -361,28 +361,3 @@ def solve_linear_system(
     """Solve ``row == 0`` for every LinearForm row exactly, by :func:`solve_rows`."""
     vectors = [[form.coefficient(u) for u in unknowns] + [form.constant] for form in rows]
     return solve_rows(vectors, unknowns, pivot_order)
-
-
-def nullspace(
-    rows: Sequence[LinearForm],
-    unknowns: Sequence[str],
-    pivot_order: Sequence[str] | None = None,
-) -> list[tuple[Fraction, ...]]:
-    """Exact kernel basis of a homogeneous system, one vector per free unknown.
-
-    Every basis vector is integer-cleared, divided by the gcd of its entries,
-    and sign-fixed so its first nonzero entry is positive; golden tests can
-    therefore compare vectors verbatim.  Inhomogeneous systems go through
-    :func:`solve_linear_system` instead.
-    """
-    if any(form.constant != 0 for form in rows):
-        raise ValueError("nullspace expects homogeneous rows (zero constants)")
-    sol = solve_linear_system(rows, unknowns, pivot_order)
-    basis = []
-    for f in sol.free:
-        ints = _cleared([sol.assignments[u].coefficient(f) for u in sol.unknowns])
-        lead = next((v for v in ints if v != 0), 1)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(tuple(Fraction(v) for v in ints))
-    return basis

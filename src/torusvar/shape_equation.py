@@ -96,10 +96,6 @@ class Lagrangian:
             names.append(self.pressure)
         return tuple(dict.fromkeys(names))
 
-    @property
-    def is_numeric(self) -> bool:
-        return not self.unknowns
-
     def substitute(self, values: Mapping[str, Fraction]) -> "Lagrangian":
         terms = {
             km: (Fraction(values[c]) if _is_unknown(c) else c) for km, c in self.terms.items()
@@ -139,7 +135,7 @@ class Lagrangian:
         return Lagrangian({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})
 
     def _require_numeric(self):
-        if not self.is_numeric:
+        if self.unknowns:
             raise ValueError(f"Lagrangian still has unknowns: {self.unknowns}")
 
 

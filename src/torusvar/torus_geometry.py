@@ -46,7 +46,6 @@ __all__ = [
     "SampledTorus",
     "grid_nodes",
     "curvatures",
-    "fundamental_forms",
     "spectral_derivative",
     "lb_numeric",
     "divbar_numeric",
@@ -179,14 +178,6 @@ class SampledTorus:
         """Periodic-trapezoid quadrature of integrand dA, with the exact 2 pi of v."""
         du = 2.0 * math.pi / self.n
         return 2.0 * math.pi * float(np.sum(integrand * self.shape.r * self.w)) * du
-
-
-def fundamental_forms(t: TorusShape, u):
-    """Diagonal components (g11, g22, h11, h22) of the fundamental forms."""
-    w = t.a + t.r * np.cos(u)
-    g11 = t.r**2 * np.ones_like(w)
-    h11 = t.r * np.ones_like(w)
-    return g11, w**2, h11, w * np.cos(u)
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:

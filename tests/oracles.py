@@ -1,15 +1,16 @@
 """Closed forms and plain solvers that the tests compare the package against,
 and the list of families that the exact-families benchmark solves.
 
-None of them shares code with the integer kernel: the solver below works on
-plain Fractions, and the residual is built from the HPoly closed forms of
+None of them shares code with the integer kernel: the paper's ratio
+constraint is written out as a formula, the solver below works on plain
+Fractions, and the residual is built from the HPoly closed forms of
 :mod:`torusvar.h_calculus` by the Euler-Lagrange equation as written.
 
 The second half is a plain reference for the grid oracles: every call builds
-its own nodes and curvatures, evaluates each term of a Lagrangian as
-``float(c) * h**i * k**j``, and each operator differences its own input.
-The package shares that work within one call; the tests require it to give
-the same floats, bit for bit.
+its own nodes, curvatures and fundamental forms, evaluates each term of a
+Lagrangian as ``float(c) * h**i * k**j``, and each operator differences its
+own input.  The package shares that work within one call; the tests require
+it to give the same floats, bit for bit.
 
 The last part is the profile-curve oracle of the first and second variation:
 it perturbs the torus's circle along its normal and recomputes the curvatures
@@ -34,6 +35,14 @@ from torusvar.h_calculus import (
     laplacian_h,
     laplacian_poly,
 )
+
+
+def constraint_ratio(n: int) -> Fraction:
+    """Aspect ratio a^2/r^2 = (n^2 - n)/(n^2 - n - 1) that the paper states
+    for the degree-n pure-H family, n >= 2."""
+    if n < 2:
+        raise ValueError("the ratio constraint exists only for degree >= 2")
+    return Fraction(n * n - n, n * n - n - 1)
 
 
 def laplacian_pow_leading_coeffs(t: ExactTorus, n: int) -> tuple[Fraction, Fraction]:
@@ -136,6 +145,14 @@ def ref_curvatures(t, u):
     h = 0.5 * (1.0 / t.r + np.cos(u) / w)
     k = np.cos(u) / (t.r * w)
     return h, k
+
+
+def ref_fundamental_forms(t, u):
+    """Diagonal components (g11, g22, h11, h22) of the fundamental forms."""
+    w = t.a + t.r * np.cos(u)
+    g11 = t.r**2 * np.ones_like(w)
+    h11 = t.r * np.ones_like(w)
+    return g11, w**2, h11, w * np.cos(u)
 
 
 def ref_derivative(values):

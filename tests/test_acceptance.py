@@ -34,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from torusvar.critical_solver import (
-    constraint_ratio,
     solve_pure_h,
     solve_with_gauss,
     verify_solution,
@@ -42,11 +41,10 @@ from torusvar.critical_solver import (
 from torusvar.energetics import (
     Perturbation,
     curvature_energy,
-    membrane_diagnostics,
     second_variation,
     willmore_scan,
 )
-from torusvar.exact_algebra import HPoly, LinearForm, nullspace
+from torusvar.exact_algebra import HPoly, LinearForm, solve_linear_system
 from torusvar.h_calculus import (
     ExactTorus,
     divbar_bilinear,
@@ -66,6 +64,7 @@ from torusvar.shape_equation import (
 )
 from torusvar.torus_geometry import (
     TorusShape,
+    area_volume,
     curvatures,
     divbar_numeric,
     grid_nodes,
@@ -73,7 +72,12 @@ from torusvar.torus_geometry import (
     spectral_derivative,
 )
 
-from oracles import area_part_and_volume, laplacian_pow_leading_coeffs, second_difference
+from oracles import (
+    area_part_and_volume,
+    constraint_ratio,
+    laplacian_pow_leading_coeffs,
+    second_difference,
+)
 
 PI2 = math.pi**2
 
@@ -476,28 +480,30 @@ def test_acceptance_7_property_suite():
         base = curvature_energy(shape, lag_n, 0.0, 256).area_term
         assert abs(fine - base) / abs(fine) < 1e-11
 
-    # nullspace re-substitution, exact
+    # kernel re-substitution, exact: each free unknown's coefficients in the
+    # solved assignments are a kernel vector
     for _ in range(25):
         unknowns = [f"x{i}" for i in range(rng.randint(2, 5))]
         rows = [
             LinearForm({u: Fraction(rng.randint(-5, 5)) for u in unknowns})
             for _ in range(rng.randint(1, 4))
         ]
-        for vec in nullspace(rows, unknowns):
-            assignment = dict(zip(unknowns, vec))
+        solution = solve_linear_system(rows, unknowns)
+        for free in solution.free:
+            assignment = {u: solution.assignments[u].coefficient(free) for u in unknowns}
             assert all(row.evaluate(assignment) == 0 for row in rows)
 
     report("7: PASS - K-term invariance exact, parallelogram 1e-9, scale "
-           "invariance 1e-10, quadrature self-convergence 1e-11, nullspace exact")
+           "invariance 1e-10, quadrature self-convergence 1e-11, kernel exact")
 
 
 # -------------------------------------------------------------------- 8 ---
 
 
 def test_acceptance_8_membrane_diagnostics():
-    diag = membrane_diagnostics(TorusShape.from_ratio(2, 1))
-    assert diag.ratio_check < 0.01
-    assert abs(diag.seifert_ratio - 2.0) < 1e-12
+    v = area_volume(TorusShape.from_ratio(2, 1)).reduced_volume
+    assert abs(2.0 - 1.0 / (1.94 * v**4)) / 2.0 < 0.01
+    assert abs(1.0 / (16 * PI2 / 81 * v**4) - 2.0) < 1e-12
     measured = 1.43 * 1.43
     assert float(f"{measured:.3g}") == 2.04
     report("8: PASS - reduced-volume relations: 1% against the rounded constant, "

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -231,6 +232,9 @@ def test_bad_modes_name_the_token_and_the_form(capsys, modes):
         (["second-variation", "--degree", "2", "--grid", "16"], 4, 32),
         (["energy", "--degree", "2", "--ratio", "2", "--grid", "16"], 0, None),
         (["second-variation", "--degree", "2", "--grid", "32"], 0, None),
+        # above MAX_GRID: no minimum is named, the cap is
+        (["identities", "--a2", "2", "--r", "1", "--grid", "131072"], 4, None),
+        (["energy", "--degree", "2", "--ratio", "2", "--grid", "65536"], 0, None),
     ],
 )
 def test_grid_is_validated_at_the_cli_boundary(capsys, argv, code, minimum):
@@ -238,6 +242,9 @@ def test_grid_is_validated_at_the_cli_boundary(capsys, argv, code, minimum):
     captured = capsys.readouterr()
     if code == 0:
         assert captured.err == ""
+    elif minimum is None:
+        assert captured.out == ""
+        assert "--grid must be at most 65536, got 131072" in captured.err
     else:
         assert captured.out == ""
         assert f"--grid must be an even integer >= {minimum}" in captured.err
@@ -338,6 +345,30 @@ def test_second_variation_grid_must_halve_to_an_even_grid(capsys, grid, code):
         assert f"got {grid}" in captured.err
     else:
         assert captured.err == "" and "second variation:" in captured.out
+
+
+@pytest.mark.parametrize("modes", ["cos64=1", "sin1=1,cos64=1", "sin64=0.5"])
+def test_second_variation_modes_must_resolve_on_the_half_grid(capsys, modes):
+    assert main(["second-variation", "--degree", "2", "--grid", "256", "--modes", modes]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mode 64 is not below grid/4 = 64" in captured.err
+
+
+def test_second_variation_highest_mode_matches_a_finer_grid(capsys):
+    values = []
+    for grid in ("256", "1024"):
+        code, out = run(capsys, "second-variation", "--degree", "2", "--grid", grid, "--modes", "cos63=1")
+        assert code == 0
+        values.append(float(out.split("second variation: ")[1].split()[0]))
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+def test_second_variation_huge_mode_exits_before_any_evaluation(capsys):
+    start = time.perf_counter()
+    assert main(["second-variation", "--degree", "2", "--modes", "cos1000000=1"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "mode 1000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["verify", "--degree", "3"], ["identities", "--a2", "2"]])

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from torusvar.critical_solver import (
-    constraint_ratio,
     default_kterms,
     delta_radii_polynomial,
     family_lagrangian,
-    solve_lagrangian,
     solve_pure_h,
     solve_with_gauss,
     theorem_kterms,
@@ -16,7 +14,9 @@ from torusvar.critical_solver import (
 )
 from torusvar.exact_algebra import LinearForm, solve_linear_system
 from torusvar.h_calculus import ExactTorus
-from torusvar.shape_equation import Lagrangian
+from torusvar.shape_equation import Lagrangian, el_system
+
+from oracles import constraint_ratio
 
 
 def form(terms, const=0):
@@ -363,25 +363,22 @@ def test_fixed_coefficients_can_make_the_system_inconsistent():
     # point exists, and the solve says so instead of raising
     torus = ExactTorus(Fraction(3), 1)
     lag = Lagrangian({(2, 0): 1, (1, 0): "a2", (0, 0): "a3"}, pressure="p")
-    outcome = solve_lagrangian(torus, lag)
+    system = el_system(torus, lag)
+    outcome = solve_linear_system(system.rows, system.unknowns)
     assert not outcome.consistent
     assert 3 in outcome.offending_rows
 
 
 def test_first_order_system_kernel_is_the_one_dimensional_family():
-    # homogeneous kernel over (a1, a2, p): the normalized basis vector packs
-    # the whole family p = -a1/r^2, a2 = -a1/r
-    from torusvar.exact_algebra import nullspace
-    from torusvar.shape_equation import el_system
-
+    # homogeneous system over (a1, a2, p): with a1 free, the one kernel
+    # direction is the whole family a2 = -a1/r, p = -a1/r^2
     for r in (Fraction(1), Fraction(2)):
         torus = ExactTorus(3 * r * r, r)
         system = el_system(torus, family_lagrangian(1))
-        basis = nullspace(system.rows, ["a1", "a2", "p"])
-        if r == 1:
-            assert basis == [(1, -1, -1)]
-        else:
-            assert basis == [(4, -2, -1)]
+        solution = solve_linear_system(system.rows, ["a1", "a2", "p"], ["p", "a2"])
+        assert solution.free == ("a1",)
+        assert solution.assignments["a2"] == form({"a1": -1 / r})
+        assert solution.assignments["p"] == form({"a1": -1 / r**2})
 
 
 def test_family_solve_matches_the_fraction_route():
@@ -392,7 +389,6 @@ def test_family_solve_matches_the_fraction_route():
     # assignments.  The K terms with i + j >= n have columns longer than the
     # n + 2 rows of the pure-H family.
     from torusvar.critical_solver import _pivot_order
-    from torusvar.shape_equation import el_system
 
     families = [(n, ()) for n in range(2, 9)] + [(n, theorem_kterms(n)) for n in range(4, 8)]
     families += [(4, ((0, 2), (1, 1))), (2, ((0, 2),)), (3, ((0, 3),)), (3, ((2, 1), (1, 2)))]
@@ -415,7 +411,7 @@ def test_family_solve_matches_the_fraction_route():
 def test_report_instantiates_numeric_lagrangians():
     rep = solve_pure_h(3, 1)
     lag = rep.lagrangian_at({"a1": Fraction(1), "a3": Fraction(3)})
-    assert lag.is_numeric
+    assert not lag.unknowns
     assert lag.terms[(3, 0)] == 1
     assert lag.terms[(2, 0)] == Fraction(15, 2)
     assert lag.pressure == 0  # a3 = 3 a1 / r^2 is the zero-pressure member

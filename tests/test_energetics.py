@@ -7,13 +7,12 @@ import pytest
 from torusvar.energetics import (
     Perturbation,
     curvature_energy,
-    membrane_diagnostics,
     second_variation,
     willmore_scan,
 )
 from torusvar.critical_solver import solve_pure_h
 from torusvar.shape_equation import Lagrangian
-from torusvar.torus_geometry import TorusShape
+from torusvar.torus_geometry import TorusShape, area_volume
 
 PI2 = math.pi**2
 CLIFFORD = TorusShape.from_ratio(2, 1)
@@ -200,12 +199,11 @@ def test_second_variation_azimuthal_mode_extension():
 
 
 def test_reduced_volume_and_ratio_relations_at_clifford():
-    diag = membrane_diagnostics(CLIFFORD)
-    assert diag.reduced_volume == pytest.approx(0.7116, abs=5e-4)
-    assert diag.ratio_check < 0.01
-    assert diag.seifert_ratio == pytest.approx(2.0, rel=1e-12)
-    assert diag.exact_constant == pytest.approx(16 * PI2 / 81, rel=1e-15)
-    assert diag.approx_constant == 1.94
+    v = area_volume(CLIFFORD).reduced_volume
+    assert v == pytest.approx(0.7116, abs=5e-4)
+    # 1.94 is the rounded 16 pi^2/81 of the vesicle literature
+    assert abs(2.0 - 1.0 / (1.94 * v**4)) / 2.0 < 0.01
+    assert 1.0 / (16 * PI2 / 81 * v**4) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_exact_constant_identity_for_random_tori():
@@ -213,8 +211,8 @@ def test_exact_constant_identity_for_random_tori():
     for _ in range(5):
         ratio = Fraction(rng.randint(23, 90), 20)
         t = TorusShape.from_ratio(ratio, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
-        diag = membrane_diagnostics(t)
-        assert diag.seifert_ratio == pytest.approx(float(ratio), rel=1e-12)
+        v = area_volume(t).reduced_volume
+        assert 16 * PI2 / 81 * v**4 * float(ratio) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measured_vesicle_ratio():

@@ -8,7 +8,6 @@ from torusvar.exact_algebra import (
     HPoly,
     LinearForm,
     format_fraction,
-    nullspace,
     parse_fraction,
     solve_linear_system,
     solve_rows,
@@ -88,27 +87,6 @@ def test_fraction_field_axioms_on_random_triples():
         assert a + b == b + a and a * b == b * a
 
 
-def test_kernel_single_row():
-    rows = [LinearForm({"x": 1, "y": -2})]
-    assert nullspace(rows, ["x", "y"]) == [(2, 1)]
-
-
-def test_kernel_of_identity_is_empty():
-    rows = [LinearForm({"x": 1}), LinearForm({"y": 1})]
-    assert nullspace(rows, ["x", "y"]) == []
-
-
-def test_nullspace_rejects_inhomogeneous_rows():
-    with pytest.raises(ValueError):
-        nullspace([LinearForm({"x": 1}, constant=2)], ["x"])
-
-
-def test_nullspace_normalization_sign_and_gcd():
-    rows = [LinearForm({"x": Fraction(2, 3), "y": Fraction(4, 3)})]
-    # x = -2y: cleared basis vector has positive leading entry
-    assert nullspace(rows, ["x", "y"]) == [(2, -1)]
-
-
 def test_resubstitution_is_exactly_zero_on_random_systems():
     rng = random.Random(5)
     for _ in range(40):
@@ -118,8 +96,11 @@ def test_resubstitution_is_exactly_zero_on_random_systems():
             LinearForm({u: Fraction(rng.randint(-4, 4)) for u in unknowns})
             for _ in range(rng.randint(1, 4))
         ]
-        for vec in nullspace(rows, unknowns):
-            assignment = dict(zip(unknowns, vec))
+        # a kernel basis: one vector per free unknown, its coefficients in
+        # the solved assignments
+        solution = solve_linear_system(rows, unknowns)
+        for free in solution.free:
+            assignment = {u: solution.assignments[u].coefficient(free) for u in unknowns}
             for row in rows:
                 assert row.evaluate(assignment) == 0
 

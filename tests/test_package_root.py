@@ -12,17 +12,18 @@ import torusvar
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# names the root re-exported up to format 0.2.0, each still in its module
+# names the root re-exported up to format 0.2.0 that are still in the
+# package, each in its module
 MODULE_ONLY = {
     "critical_solver": (
-        "DegeneracyInfo", "SolutionReport", "VerificationResult", "constraint_ratio",
-        "default_kterms", "family_lagrangian", "solve_lagrangian", "theorem_kterms",
+        "DegeneracyInfo", "SolutionReport", "VerificationResult",
+        "default_kterms", "family_lagrangian", "theorem_kterms",
     ),
-    "energetics": ("EnergyReport", "MembraneDiagnostics"),
-    "exact_algebra": ("HPoly", "LinearForm", "nullspace", "solve_linear_system"),
+    "energetics": ("EnergyReport",),
+    "exact_algebra": ("HPoly", "LinearForm", "solve_linear_system"),
     "h_calculus": ("divbar_bilinear", "divbar_k", "divbar_poly", "k_as_hpoly", "laplacian_poly"),
     "shape_equation": ("ResidualSystem", "el_residual", "el_system"),
-    "torus_geometry": ("AreaVolume", "fundamental_forms", "suggest_grid"),
+    "torus_geometry": ("AreaVolume", "suggest_grid"),
 }
 
 
@@ -37,7 +38,7 @@ def _root_imports(path: Path) -> set[str]:
 
 
 def test_every_root_name_resolves():
-    assert len(torusvar.__all__) == 22
+    assert len(torusvar.__all__) == 21
     for name in torusvar.__all__:
         assert getattr(torusvar, name) is not None, name
 
@@ -55,10 +56,46 @@ def test_module_only_names_import_from_their_module(module, name):
     assert name not in torusvar.__all__
 
 
-def test_every_traced_name_exists_in_its_module():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists_in_its_module():
+    tracing = _load_tracing()
     for module, functions in tracing.TRACED.items():
         for name in functions:
             assert callable(getattr(importlib.import_module(f"torusvar.{module}"), name)), (module, name)
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name a file reads or writes, bare or as an attribute; a def,
+    a class or an ``__all__`` string does not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # library code that only tests call belongs in tests/oracles.py
+    programs = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]
+    programs += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    used = set().union(*map(_identifiers, programs))
+    used |= {name for functions in _load_tracing().TRACED.values() for name in functions}
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "torusvar").glob("*.py"))
+        for name in getattr(
+            importlib.import_module("torusvar" if path.stem == "__init__" else f"torusvar.{path.stem}"),
+            "__all__",
+            (),
+        )
+        if name not in used
+    ]
+    assert unused == []

@@ -252,7 +252,7 @@ def test_lagrangian_validation_and_substitution():
     lag = Lagrangian({(2, 0): "a1", (0, 1): "a2"}, pressure="p")
     assert lag.unknowns == ("a1", "a2", "p")
     numeric = lag.substitute({"a1": Fraction(2), "a2": Fraction(0), "p": Fraction(1, 3)})
-    assert numeric.is_numeric
+    assert not numeric.unknowns
     assert numeric.terms == {(2, 0): Fraction(2)}
     assert numeric.pressure == Fraction(1, 3)
 
