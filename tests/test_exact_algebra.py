@@ -87,6 +87,23 @@ def test_fraction_field_axioms_on_random_triples():
         assert a + b == b + a and a * b == b * a
 
 
+def _kernel_basis(rows, unknowns):
+    """One kernel vector per free unknown, read from the solved assignments."""
+    solution = solve_linear_system(rows, unknowns)
+    assert solution.consistent
+    return [tuple(solution.assignments[u].coefficient(free) for u in unknowns) for free in solution.free]
+
+
+def test_kernel_single_row():
+    rows = [LinearForm({"x": 1, "y": -2})]
+    assert _kernel_basis(rows, ["x", "y"]) == [(2, 1)]
+
+
+def test_kernel_of_identity_is_empty():
+    rows = [LinearForm({"x": 1}), LinearForm({"y": 1})]
+    assert _kernel_basis(rows, ["x", "y"]) == []
+
+
 def test_resubstitution_is_exactly_zero_on_random_systems():
     rng = random.Random(5)
     for _ in range(40):
@@ -96,11 +113,8 @@ def test_resubstitution_is_exactly_zero_on_random_systems():
             LinearForm({u: Fraction(rng.randint(-4, 4)) for u in unknowns})
             for _ in range(rng.randint(1, 4))
         ]
-        # a kernel basis: one vector per free unknown, its coefficients in
-        # the solved assignments
-        solution = solve_linear_system(rows, unknowns)
-        for free in solution.free:
-            assignment = {u: solution.assignments[u].coefficient(free) for u in unknowns}
+        for vec in _kernel_basis(rows, unknowns):
+            assignment = dict(zip(unknowns, vec))
             for row in rows:
                 assert row.evaluate(assignment) == 0
 
