@@ -10,39 +10,46 @@ The root exports the names the demos use; everything else is imported from
 its module (``torusvar.exact_algebra``, ``torusvar.critical_solver``, ...).
 """
 
+from importlib import import_module
+
 __version__ = "0.3.0"
 
-from .critical_solver import solve_pure_h, solve_with_gauss, verify_solution
-from .energetics import (
-    Perturbation,
-    curvature_energy,
-    second_variation,
-    willmore_scan,
-)
-from .h_calculus import ExactTorus, divbar_h, grad_h_squared, laplacian_h
-from .shape_equation import HelfrichParams, Lagrangian, helfrich_lagrangian, sphere_residual
-from .torus_geometry import TorusShape, area_volume, curvatures, divbar_numeric, lb_numeric
+# each root name -> the module that defines it; a name loads its module on
+# first access (PEP 562), so ``import torusvar`` loads no submodule and the
+# exact path (``torusvar solve``) never loads numpy
+_HOMES = {
+    "ExactTorus": "h_calculus",
+    "HelfrichParams": "shape_equation",
+    "Lagrangian": "shape_equation",
+    "Perturbation": "energetics",
+    "TorusShape": "h_calculus",
+    "area_volume": "torus_geometry",
+    "curvature_energy": "energetics",
+    "curvatures": "torus_geometry",
+    "divbar_h": "h_calculus",
+    "divbar_numeric": "torus_geometry",
+    "grad_h_squared": "h_calculus",
+    "helfrich_lagrangian": "shape_equation",
+    "laplacian_h": "h_calculus",
+    "lb_numeric": "torus_geometry",
+    "second_variation": "energetics",
+    "solve_pure_h": "critical_solver",
+    "solve_with_gauss": "critical_solver",
+    "sphere_residual": "shape_equation",
+    "verify_solution": "critical_solver",
+    "willmore_scan": "energetics",
+}
 
-__all__ = [
-    "__version__",
-    "ExactTorus",
-    "HelfrichParams",
-    "Lagrangian",
-    "Perturbation",
-    "TorusShape",
-    "area_volume",
-    "curvature_energy",
-    "curvatures",
-    "divbar_h",
-    "divbar_numeric",
-    "grad_h_squared",
-    "helfrich_lagrangian",
-    "laplacian_h",
-    "lb_numeric",
-    "second_variation",
-    "solve_pure_h",
-    "solve_with_gauss",
-    "sphere_residual",
-    "verify_solution",
-    "willmore_scan",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    # looked up on every access, not cached, so a root name is always the
+    # current attribute of its module
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

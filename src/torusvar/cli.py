@@ -21,9 +21,10 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, critical_solver, h_calculus, torus_geometry
+# numpy, torus_geometry and energetics are imported inside the numeric
+# commands, so solve, --help and --version run without numpy (the module
+# docstring above is also the --help text)
+from . import __version__, critical_solver, h_calculus
 from .critical_solver import (
     SolutionReport,
     default_kterms,
@@ -31,11 +32,9 @@ from .critical_solver import (
     solve_with_gauss,
     verify_solution,
 )
-from .energetics import Perturbation, curvature_energy, second_variation
 from .exact_algebra import HPoly, LinearForm, format_fraction, parse_fraction
-from .h_calculus import ExactTorus
+from .h_calculus import MAX_GRID, ExactTorus, TorusShape
 from .shape_equation import Lagrangian
-from .torus_geometry import TorusShape
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -43,6 +42,10 @@ EXIT_TOLERANCE = 3
 EXIT_BAD_INPUT = 4
 
 _TERM_NAMES = {"K": (0, 1)}
+
+# the largest family residual, rows x columns, a --degree command may solve:
+# pure-H degree 360, or degree 78 with the default K terms
+MAX_FAMILY_CELLS = 2**17
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,6 +107,8 @@ def _fraction_or_none(value: Fraction | None) -> str | None:
 def _grid(args, *shapes: TorusShape) -> dict:
     """The one grid rule, as the JSON diagnostics block: --grid if given,
     else the finest ``suggest_grid`` over the command's tori."""
+    from . import torus_geometry
+
     if args.grid is not None:
         return {"grid": args.grid, "grid_source": "--grid"}
     return {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
@@ -134,11 +139,31 @@ def _base_payload(command: str, **inputs) -> dict:
     }
 
 
+def _family_size(args) -> tuple[int, int]:
+    """(rows, columns) bounding the residual of the family a --degree command
+    solves, from --degree and --terms alone.  The degree-n pure-H family has
+    n + 2 rows and n + 2 columns (a1..a_{n+1} and p); each K term H^i K^j
+    adds a column and reaches row i + j + 2 at most.  No default K set is
+    larger than the theorem ladder, h (n - h) terms with h = n // 2, or
+    reaches above row n + 1, so it is counted without being built."""
+    n = max(args.degree, 0)
+    rows = columns = n + 2
+    if getattr(args, "with_gauss", False):
+        if args.terms is None:
+            columns += (n // 2) * (n - n // 2)
+        else:
+            terms = _parse_list(args.terms, "--terms", _parse_term)
+            columns += len(terms)
+            rows = max(rows, *(i + j + 3 for i, j in terms))
+    return rows, columns
+
+
 def _check_options(args) -> None:
     """Reject, before any work, a --grid the spectral oracles cannot use (odd,
     below 16 points or above ``MAX_GRID``; second-variation also evaluates
-    at grid/2, so it needs 32 and a multiple of 4) and a --tolerance that is
-    not a finite positive number."""
+    at grid/2, so it needs 32 and a multiple of 4), a --tolerance that is
+    not a finite positive number, and a --degree (with its --terms) whose
+    family residual would exceed ``MAX_FAMILY_CELLS``."""
     if args.grid is not None:
         if args.command == "second-variation":
             minimum, step = 32, 4
@@ -147,11 +172,18 @@ def _check_options(args) -> None:
             minimum, step, reason = 16, 2, ""
         if args.grid < minimum or args.grid % step:
             raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
-        if args.grid > torus_geometry.MAX_GRID:
-            raise ValueError(f"--grid must be at most {torus_geometry.MAX_GRID}, got {args.grid}")
+        if args.grid > MAX_GRID:
+            raise ValueError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"--tolerance must be a finite number > 0, got {tolerance}")
+    if getattr(args, "degree", None) is not None:
+        rows, columns = _family_size(args)
+        if rows * columns > MAX_FAMILY_CELLS:
+            raise ValueError(
+                f"--degree {args.degree}: the family's residual has up to {rows} rows x {columns} columns, "
+                f"above the limit of {MAX_FAMILY_CELLS} cells"
+            )
 
 
 def _solve_from_args(args) -> SolutionReport:
@@ -278,6 +310,8 @@ def _family_member(
 
 
 def cmd_energy(args) -> int:
+    from .energetics import curvature_energy
+
     r, a2 = parse_fraction(args.r), _exact(args.a2)
     lagrangian, constraint, ratio = _family_member(
         args.degree, r, _exact(args.ratio) if a2 is None else a2 / (r * r)
@@ -312,6 +346,10 @@ def cmd_energy(args) -> int:
 
 
 def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
+    import numpy as np
+
+    from . import torus_geometry
+
     s = torus_geometry.SampledTorus(torus.to_shape(), n)
     h, k_vals = s.h, s.k
     ops = h_calculus.TorusOperators(torus)
@@ -361,6 +399,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .energetics import curvature_energy
+
     r = parse_fraction(args.r)
     if args.ratios is not None:
         ratios = _parse_list(args.ratios, "--ratios", parse_fraction)
@@ -405,6 +445,8 @@ def _parse_mode(token: str) -> tuple[str, int, float]:
 
 
 def cmd_second_variation(args) -> int:
+    from .energetics import Perturbation, second_variation
+
     modes: dict[str, dict[int, float]] = {"cos": {}, "sin": {}}
     for kind, index, amplitude in _parse_list(args.modes, "--modes", _parse_mode, key=lambda m: m[:2]):
         modes[kind][index] = amplitude

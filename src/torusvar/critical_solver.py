@@ -28,9 +28,8 @@ from typing import Mapping, Sequence
 
 from . import shape_equation
 from .exact_algebra import LinearForm, solve_rows
-from .h_calculus import ExactTorus
+from .h_calculus import DEFAULT_GRID, ExactTorus
 from .shape_equation import Lagrangian, ResidualRows, el_residual
-from .torus_geometry import DEFAULT_GRID
 
 __all__ = [
     "SolutionReport",

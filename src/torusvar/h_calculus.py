@@ -27,10 +27,16 @@ table) reuses them; it lives only as long as the caller keeps it.
 Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
 constrained tori have irrational a).
+
+The float torus :class:`TorusShape` and the grid constants ``DEFAULT_GRID``
+and ``MAX_GRID`` are defined here too, beside :class:`ExactTorus`, so that
+the exact path (solve, the closed forms, the residual columns) never loads
+numpy; :mod:`torusvar.torus_geometry` re-exports them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,10 +44,10 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .exact_algebra import HPoly
-from .torus_geometry import TorusShape
 
 __all__ = [
     "ExactTorus",
+    "TorusShape",
     "TorusOperators",
     "k_as_hpoly",
     "laplacian_h",
@@ -66,6 +72,45 @@ GRAD_H_SQUARED: IntTable = ((-1, 6, -13, 12, -4), (4, -16, 24, -16, 4))
 DIVBAR_H: IntTable = ((-4, 24, -52, 48, -16), (12, -52, 84, -60, 16))
 # the bilinear remainder r K |grad H|^2 = K_HAT * GRAD_H_SQUARED, weight 5
 BILINEAR: IntTable = ((1, -8, 25, -38, 28, -8), (-4, 24, -56, 64, -36, 8))
+
+
+DEFAULT_GRID = 256
+
+# largest grid suggest_grid returns (512 KiB per float field); aspect ratios
+# that need more are rejected rather than left to allocate GB-sized grids
+MAX_GRID = 65536
+
+
+@dataclass(frozen=True)
+class TorusShape:
+    """Torus radii, as floats, optionally backed by exact squared values."""
+
+    a: float
+    r: float
+    a2: Fraction | None = None
+    r2: Fraction | None = None
+
+    def __post_init__(self):
+        if not (self.a > self.r > 0):
+            raise ValueError(f"torus radii must satisfy a > r > 0, got a={self.a}, r={self.r}")
+
+    @staticmethod
+    def from_squares(a2, r) -> "TorusShape":
+        """Build from exact a**2 and exact r (a itself may be irrational)."""
+        a2 = Fraction(a2)
+        r = Fraction(r)
+        return TorusShape(a=math.sqrt(a2), r=float(r), a2=a2, r2=r * r)
+
+    @staticmethod
+    def from_ratio(ratio, r) -> "TorusShape":
+        """Build from the aspect ratio a**2/r**2 and exact r."""
+        ratio = Fraction(ratio)
+        r = Fraction(r)
+        return TorusShape.from_squares(ratio * r * r, r)
+
+    @property
+    def ratio(self) -> float:
+        return (self.a / self.r) ** 2
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ integer column per monomial H^i K^j (:func:`residual_column`, built from the
 operator table of :mod:`torusvar.h_calculus` and valid on every torus), and a
 fully numeric route through the spectral grid operators of
 :mod:`torusvar.torus_geometry` alone, used as a cross-check oracle; it reads
-every field from one :class:`~torusvar.torus_geometry.SampledTorus`.
+every field from one :class:`~torusvar.torus_geometry.SampledTorus`.  Only
+the numeric route needs numpy, and it loads it (with the grid operators)
+when it is called, so the exact route runs without numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +29,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
-from . import h_calculus, torus_geometry
+from . import h_calculus
 from .exact_algebra import HPoly, LinearForm
-from .h_calculus import ExactTorus
-from .torus_geometry import DEFAULT_GRID, SampledTorus, TorusShape
+from .h_calculus import DEFAULT_GRID, ExactTorus, TorusShape
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .torus_geometry import SampledTorus
 
 __all__ = [
     "Coefficient",
@@ -112,6 +116,8 @@ class Lagrangian:
         Each term is c H^i K^j, multiplied left to right; a zeroth power is
         left out, which changes no float since multiplying by 1.0 is exact.
         """
+        import numpy as np
+
         self._require_numeric()
         total = np.zeros_like(s.h)
         for (i, j), c in self.terms.items():
@@ -364,8 +370,12 @@ def el_residual_numeric_scaled(
     constituent terms; a residual small against it certifies cancellation
     regardless of how large the family's coefficients are.
     """
+    import numpy as np
+
+    from . import torus_geometry
+
     lagrangian._require_numeric()
-    s = SampledTorus(t, n)
+    s = torus_geometry.SampledTorus(t, n)
     h, k = s.h, s.k
     eh = lagrangian.partial_h().eval_at(s)
     ek = lagrangian.partial_k().eval_at(s)

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+# the float torus and the grid constants live on the numpy-free side
+from .h_calculus import DEFAULT_GRID, MAX_GRID, TorusShape
 
 __all__ = [
     "TorusShape",
@@ -51,44 +53,6 @@ __all__ = [
     "divbar_numeric",
     "area_volume",
 ]
-
-DEFAULT_GRID = 256
-
-# largest grid suggest_grid returns (512 KiB per float field); aspect ratios
-# that need more are rejected rather than left to allocate GB-sized grids
-MAX_GRID = 65536
-
-
-@dataclass(frozen=True)
-class TorusShape:
-    """Torus radii, as floats, optionally backed by exact squared values."""
-
-    a: float
-    r: float
-    a2: Fraction | None = None
-    r2: Fraction | None = None
-
-    def __post_init__(self):
-        if not (self.a > self.r > 0):
-            raise ValueError(f"torus radii must satisfy a > r > 0, got a={self.a}, r={self.r}")
-
-    @staticmethod
-    def from_squares(a2, r) -> "TorusShape":
-        """Build from exact a**2 and exact r (a itself may be irrational)."""
-        a2 = Fraction(a2)
-        r = Fraction(r)
-        return TorusShape(a=math.sqrt(a2), r=float(r), a2=a2, r2=r * r)
-
-    @staticmethod
-    def from_ratio(ratio, r) -> "TorusShape":
-        """Build from the aspect ratio a**2/r**2 and exact r."""
-        ratio = Fraction(ratio)
-        r = Fraction(r)
-        return TorusShape.from_squares(ratio * r * r, r)
-
-    @property
-    def ratio(self) -> float:
-        return (self.a / self.r) ** 2
 
 
 @dataclass(frozen=True)

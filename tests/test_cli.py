@@ -30,6 +30,12 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def _readme_commands() -> list[list[str]]:
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("torusvar ")]
+
+
 def test_solve_text_output(capsys):
     code, out = run(capsys, "solve", "--degree", "3", "--r", "1")
     assert code == 0
@@ -234,6 +240,7 @@ def test_bad_modes_name_the_token_and_the_form(capsys, modes):
         (["second-variation", "--degree", "2", "--grid", "32"], 0, None),
         # above MAX_GRID: no minimum is named, the cap is
         (["identities", "--a2", "2", "--r", "1", "--grid", "131072"], 4, None),
+        (["solve", "--degree", "3", "--grid", "131072"], 4, None),
         (["energy", "--degree", "2", "--ratio", "2", "--grid", "65536"], 0, None),
     ],
 )
@@ -371,6 +378,95 @@ def test_second_variation_huge_mode_exits_before_any_evaluation(capsys):
     assert "mode 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (
+            ["solve", "--degree", "5", "--with-gauss", "--terms", "K1000000000000", "--a2", "3"],
+            "1000000000003 rows x 8 columns",
+        ),
+        (["solve", "--degree", "512"], "514 rows x 514 columns"),
+        (["solve", "--degree", "1000"], "1002 rows x 1002 columns"),
+        *(
+            ([command, "--degree", "1000"], "1002 rows x 1002 columns")
+            for command in ("verify", "energy", "scan", "second-variation")
+        ),
+        (
+            ["solve", "--degree", "1000000000", "--with-gauss", "--a2", "3"],
+            "1000000002 rows x 250000001000000002 columns",
+        ),
+    ],
+)
+def test_family_size_is_bounded_before_any_solve(capsys, monkeypatch, argv, size):
+    # every command that takes --degree, before any family is built or solved
+    from torusvar import cli
+
+    def no_work(*args):
+        raise AssertionError("built or solved a family above the size limit")
+
+    # the default K set is counted, not built
+    for name in ("default_kterms", "solve_pure_h", "solve_with_gauss"):
+        monkeypatch.setattr(cli, name, no_work)
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"torusvar: error: --degree {argv[2]}: the family's residual has up to {size}, "
+        "above the limit of 131072 cells\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["solve", "--degree", "360"], True),
+        (["solve", "--degree", "361"], False),
+        (["solve", "--degree", "78", "--with-gauss", "--a2", "3"], True),
+        (["solve", "--degree", "79", "--with-gauss", "--a2", "3"], False),
+        (["solve", "--degree", "4", "--with-gauss", "--terms", "H18000K", "--a2", "3"], True),
+        (["solve", "--degree", "4", "--with-gauss", "--terms", "K2,H20000K", "--a2", "3"], False),
+        (["verify", "--degree", "64", "--with-gauss", "--a2", "3"], True),
+        (["scan", "--degree", "-3"], True),  # left to the solver's own message
+        *(([*argv, "--format", "json"], True) for argv in _readme_commands()),
+    ],
+)
+def test_family_size_limit(argv, accepted):
+    from torusvar.cli import _check_options
+
+    args = build_parser().parse_args(argv)
+    if accepted:
+        _check_options(args)
+    else:
+        with pytest.raises(ValueError, match="above the limit of 131072 cells"):
+            _check_options(args)
+
+
+@pytest.mark.parametrize(
+    "degree, terms",
+    [(n, None) for n in (1, 2, 3, 4, 5, 6, 9, 12)]
+    + [(4, "K2,HK"), (3, "H5K2,K3"), (6, "H2K,K2"), (2, "K")],
+)
+def test_family_size_bounds_the_residual_rows(degree, terms):
+    from torusvar.cli import _family_size
+    from torusvar.critical_solver import default_kterms, family_lagrangian
+    from torusvar.shape_equation import ResidualRows
+
+    argv = ["solve", "--degree", str(degree), "--with-gauss"] + ([] if terms is None else ["--terms", terms])
+    rows, columns = _family_size(build_parser().parse_args(argv))
+    kterms = default_kterms(degree) if terms is None else [_parse_term(t) for t in terms.split(",")]
+    residual = ResidualRows.of(family_lagrangian(degree, kterms))
+    assert len(residual.u) <= rows
+    assert len(residual.coefficients) <= columns
+
+
+def test_degree_256_still_prints(capsys):
+    code, out = run(capsys, "solve", "--degree", "256", "--r", "1")
+    assert code == 0
+    assert "constraint a^2/r^2 = 65280/65279\n" in out
+
+
 @pytest.mark.parametrize("command", [["verify", "--degree", "3"], ["identities", "--a2", "2"]])
 @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf", "-inf"])
 def test_tolerance_must_be_finite_and_positive(capsys, monkeypatch, command, tolerance):
@@ -494,12 +590,6 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         env=env, capture_output=True, text=True, check=True,
     )
     assert second == fresh.stdout
-
-
-def _readme_commands() -> list[list[str]]:
-    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
-    lines = [line.split("#", 1)[0] for line in block.splitlines()]
-    return [shlex.split(line)[1:] for line in lines if line.startswith("torusvar ")]
 
 
 def test_readme_commands_run(capsys):
