@@ -114,7 +114,36 @@ def _grid(args, *shapes: TorusShape) -> dict:
     return {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
 
 
+def _non_finite(value, path: str = "") -> list[str]:
+    """``key.path = value`` for each float of a payload that is not finite."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [f"{path} = {value}"]
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [bad for key, item in items for bad in _non_finite(item, f"{path}.{key}" if path else str(key))]
+
+
+def _float_tori(r: Fraction, ratios: list[Fraction], member: Lagrangian) -> list[TorusShape]:
+    """The float tori at r and each a^2/r^2 in ``ratios``, under the one float
+    rule of the numeric commands: a^2, r^2 and every coefficient of the
+    evaluated ``member``, its pressure included, are 0 or normal floats (outside,
+    they would overflow or flush to 0)."""
+    values = [("r^2", r * r), *(("a^2", rho * r * r) for rho in ratios)]
+    values += [*((f"the coefficient of H^{i} K^{j}", c) for (i, j), c in member.terms.items()), ("the pressure", member.pressure)]
+    for name, value in values:
+        if value and not sys.float_info.min <= abs(value) <= sys.float_info.max:
+            exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+            raise ValueError(
+                f"{name} is about 1e{exponent:.0f}, outside the float range "
+                f"[{sys.float_info.min:.4g}, {sys.float_info.max:.4g}] of the numeric commands"
+            )
+    return [TorusShape.from_ratio(rho, r) for rho in ratios]
+
+
 def _emit(payload: dict, text: str, args) -> None:
+    """Write the report; a non-finite result is raised instead (exit 3)."""
+    bad = _non_finite(payload)
+    if bad:
+        raise FloatingPointError("non-finite result: " + ", ".join(bad))
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -193,6 +222,11 @@ def _solve_from_args(args) -> SolutionReport:
             terms = tuple(_parse_list(args.terms, "--terms", _parse_term))
         else:
             terms = default_kterms(args.degree)
+        if not terms and args.degree >= 2:
+            raise ValueError(
+                f"--with-gauss: degree {args.degree} has no default K terms; "
+                "name them with --terms (e.g. --terms K2), or leave out --with-gauss"
+            )
         return solve_with_gauss(args.degree, r, terms, _exact(args.a2))
     for flag, value in (("--a2", args.a2), ("--terms", args.terms)):
         if value is not None:
@@ -271,7 +305,7 @@ def cmd_verify(args) -> int:
         return EXIT_INCONSISTENT
     torus = ExactTorus(_family_ratio(report) * report.r**2, report.r)
     values = _default_free_values(report)
-    diagnostics = _grid(args, torus.to_shape())
+    diagnostics = _grid(args, *_float_tori(torus.r, [torus.ratio], report.lagrangian_at(values)))
     result = verify_solution(torus, report, values, diagnostics["grid"])
     ok = result.exact and result.numeric_relative < args.tolerance
     text = (
@@ -316,7 +350,7 @@ def cmd_energy(args) -> int:
     lagrangian, constraint, ratio = _family_member(
         args.degree, r, _exact(args.ratio) if a2 is None else a2 / (r * r)
     )
-    t = TorusShape.from_ratio(ratio, r)
+    (t,) = _float_tori(r, [ratio], lagrangian)
     diagnostics = _grid(args, t)
     report = curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"])
     text = (
@@ -352,7 +386,6 @@ def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
 
     s = torus_geometry.SampledTorus(torus.to_shape(), n)
     h, k_vals = s.h, s.k
-    ops = h_calculus.TorusOperators(torus)
     # H is differenced once, for both operators and the two gradient terms
     dh = torus_geometry.spectral_derivative(h)
     lb, divbar = torus_geometry.lb_numeric, torus_geometry.divbar_numeric
@@ -363,24 +396,24 @@ def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
         return float(np.max(np.abs(exact - grid_values))) / scale
 
     checks = [
-        ("laplacian(H)", compare(ops.laplacian_h, lb(s, h, dh))),
-        ("|grad H|^2", compare(ops.grad_h_squared, dh * dh / float(torus.r) ** 2)),
+        ("laplacian(H)", compare(h_calculus.laplacian_h(torus), lb(s, h, dh))),
+        ("|grad H|^2", compare(h_calculus.grad_h_squared(torus), dh * dh / float(torus.r) ** 2)),
     ]
     for k in range(2, 7):
-        closed = h_calculus.laplacian_poly(ops, HPoly.monomial(k))
+        closed = h_calculus.laplacian_poly(torus, HPoly.monomial(k))
         checks.append((f"laplacian(H^{k})", compare(closed, lb(s, s.h_power(k)))))
-    checks.append(("div_bar(H)", compare(ops.divbar_h, divbar(s, h, dh))))
-    checks.append(("div_bar(K)", compare(ops.divbar_k, divbar(s, k_vals))))
-    checks.append(("bilinear term", compare(ops.divbar_bilinear, k_vals * (1.0 / float(torus.r)) * dh * dh)))
+    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), divbar(s, h, dh))))
+    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), divbar(s, k_vals))))
+    checks.append(("bilinear term", compare(h_calculus.divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * dh * dh)))
     for k in range(2, 6):
-        closed = h_calculus.divbar_poly(ops, HPoly.monomial(k))
+        closed = h_calculus.divbar_poly(torus, HPoly.monomial(k))
         checks.append((f"div_bar(H^{k})", compare(closed, divbar(s, s.h_power(k)))))
     return checks
 
 
 def cmd_identities(args) -> int:
     torus = ExactTorus(parse_fraction(args.a2), parse_fraction(args.r))
-    diagnostics = _grid(args, torus.to_shape())
+    diagnostics = _grid(args, *_float_tori(torus.r, [torus.ratio], Lagrangian()))
     checks = _identity_checks(torus, diagnostics["grid"])
     lines = []
     worst = 0.0
@@ -407,7 +440,7 @@ def cmd_scan(args) -> int:
     else:
         ratios = [Fraction(num, 20) for num in range(24, 81, 4)]
     lagrangian, _, _ = _family_member(args.degree, r, None)
-    shapes = [TorusShape.from_ratio(rho, r) for rho in ratios]
+    shapes = _float_tori(r, ratios, lagrangian)
     diagnostics = _grid(args, *shapes)
     rows = [
         (rho, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
@@ -453,7 +486,7 @@ def cmd_second_variation(args) -> int:
     omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
     lagrangian, _, ratio = _family_member(args.degree, r, _exact(args.ratio))
-    t = TorusShape.from_ratio(ratio, r)
+    (t,) = _float_tori(r, [ratio], lagrangian)
     diagnostics = _grid(args, t)
     grid = diagnostics["grid"]
     top = max((*modes["cos"], *modes["sin"]))
@@ -546,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"torusvar: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except FloatingPointError as exc:
+        print(f"torusvar: error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

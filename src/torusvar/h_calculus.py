@@ -14,15 +14,14 @@ Every operator is homogeneous in the radii: written in x = r H and
 rho = a^2 / r^2, an operator of inverse-length weight d is r^-d times a
 polynomial in x whose coefficients are U_p + V_p / rho with integers U_p and
 V_p (the affine form in 1/rho is the 1/a^2 of the eliminations above).  The
-table below holds those integer pairs once, for every torus; the closed forms
-on a given torus are read from it by :func:`_on_torus`, which puts the
-coefficient r^(p - d) (U_p + V_p / rho) on H^p.  Every closed form is
-regression-tested against the independent spectral operators of
-:mod:`torusvar.torus_geometry`.
-
-:class:`TorusOperators` builds each closed form of one torus once, so a
-caller that applies several chain rules on the same torus (the identities
-table) reuses them; it lives only as long as the caller keeps it.
+table below holds those integer pairs once, for every torus.  Every exact
+operator goes through one integer chain rule, op(f) = f' op(x) + f'' B(x)
+with B the operator's remainder (:func:`chain_rule`; the residual columns of
+:mod:`torusvar.shape_equation`, :func:`laplacian_poly`, :func:`divbar_poly`),
+and one reader, :func:`read`, which puts r^(p - d) (U_p + V_p / rho) on H^p
+from the integers num U_p + den V_p at rho = num / den (the closed forms,
+``el_system``, ``el_residual``).  Every closed form is regression-tested
+against the independent spectral operators of :mod:`torusvar.torus_geometry`.
 
 Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
@@ -39,16 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact_algebra import HPoly
 
 __all__ = [
     "ExactTorus",
     "TorusShape",
-    "TorusOperators",
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
@@ -138,16 +135,57 @@ class ExactTorus:
         return TorusShape.from_squares(self.a2, self.r)
 
 
-def _on_torus(t: ExactTorus, table: IntTable, weight: int) -> HPoly:
-    """The H-polynomial of a table entry of inverse-length weight ``weight``
-    on the torus t: r^(p - weight) (U_p + V_p / rho) on H^p."""
-    inv_ratio = 1 / t.ratio
-    scale = t.r ** -weight
-    coeffs = []
-    for up, vp in zip_longest(*table, fillvalue=0):
-        coeffs.append(scale * (up + vp * inv_ratio))
-        scale *= t.r
-    return HPoly.of(coeffs)
+# an integer polynomial x^shift * (c_0 + c_1 x + ...)
+Shifted = tuple[int, list[int]]
+
+
+def _derivative(f: Shifted) -> Shifted:
+    shift, coeffs = f
+    if shift:
+        return shift - 1, [(shift + m) * c for m, c in enumerate(coeffs)]
+    return 0, [m * c for m, c in enumerate(coeffs)][1:]
+
+
+def products_sum(pairs: Iterable[tuple[Shifted, Sequence[int]]]) -> list[int]:
+    """Sum of the products f q of shifted and plain integer coefficient
+    lists, as one plain list with trailing zeros trimmed."""
+    out: list[int] = []
+    for (shift, p), q in pairs:
+        size = shift + len(p) + len(q) - 1
+        if len(out) < size:
+            out.extend([0] * (size - len(out)))
+        for a, pa in enumerate(p, shift):
+            if pa:
+                for b, qb in enumerate(q, a):
+                    out[b] += pa * qb
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def chain_rule(f: Shifted, op: IntTable, remainder: IntTable) -> tuple[list, list]:
+    """The product pairs of op(f) = f' op(x) + f'' B(x), B the operator's
+    remainder, whose :func:`products_sum` is the U part and the V part."""
+    d1 = _derivative(f)
+    d2 = _derivative(d1)
+    return [(d1, op[0]), (d2, remainder[0])], [(d1, op[1]), (d2, remainder[1])]
+
+
+def read(t: ExactTorus, rows: Sequence[int], weight: int, denom: int = 1) -> list[Fraction]:
+    """The coefficients r^(p - weight) (U_p + V_p / rho) / denom on H^p of a
+    table on t, from its integers rows[p] = num U_p + den V_p at rho = num / den."""
+    rn, rd = t.r.numerator, t.r.denominator
+    denom *= t.ratio.numerator
+    return [
+        Fraction(s * rn**e, denom * rd**e) if e >= 0 else Fraction(s * rd**-e, denom * rn**-e)
+        for e, s in enumerate(rows, -weight)
+    ]
+
+
+def _on_torus(t: ExactTorus, table: IntTable, weight: int, denom: int = 1) -> HPoly:
+    num, den = t.ratio.numerator, t.ratio.denominator
+    rows = [num * u + den * v for u, v in zip_longest(*table, fillvalue=0)]
+    return HPoly.of(read(t, rows, weight, denom))
 
 
 def k_as_hpoly(t: ExactTorus) -> HPoly:
@@ -176,7 +214,7 @@ def divbar_h(t: ExactTorus) -> HPoly:
 
 def divbar_k(t: ExactTorus) -> HPoly:
     """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H."""
-    return TorusOperators(t).divbar_k
+    return divbar_h(t).scale(2 / t.r)
 
 
 def divbar_bilinear(t: ExactTorus) -> HPoly:
@@ -190,52 +228,23 @@ def divbar_bilinear(t: ExactTorus) -> HPoly:
     return _on_torus(t, BILINEAR, 5)
 
 
-class TorusOperators:
-    """The closed-form operators of one torus: each attribute is the module
-    function of the same name on ``torus``, built on first use and kept for
-    the object's lifetime."""
-
-    def __init__(self, torus: ExactTorus):
-        self.torus = torus
-
-    @cached_property
-    def laplacian_h(self) -> HPoly:
-        return laplacian_h(self.torus)
-
-    @cached_property
-    def grad_h_squared(self) -> HPoly:
-        return grad_h_squared(self.torus)
-
-    @cached_property
-    def divbar_h(self) -> HPoly:
-        return divbar_h(self.torus)
-
-    @cached_property
-    def divbar_bilinear(self) -> HPoly:
-        return divbar_bilinear(self.torus)
-
-    @property
-    def divbar_k(self) -> HPoly:
-        return self.divbar_h.scale(Fraction(2) / self.torus.r)
+def _poly_chain_rule(t: ExactTorus, f: HPoly, op: IntTable, remainder: IntTable, weight: int) -> HPoly:
+    """op(f(H)) on t, for an operator of weight ``weight`` + 1: with r = rn / rd and
+    n = deg f, f(H) = g(r H) / (D rn^n) with the integers g_k = f_k D rd^k rn^(n - k),
+    D the common denominator of the f_k; each derivative in H brings a factor r."""
+    n = max(f.degree, 0)
+    rn, rd = t.r.numerator, t.r.denominator
+    denom = math.lcm(*(c.denominator for c in f.coeffs))
+    g = [c.numerator * (denom // c.denominator) * rd**k * rn ** (n - k) for k, c in enumerate(f.coeffs)]
+    u, v = chain_rule((0, g), op, remainder)
+    return _on_torus(t, (products_sum(u), products_sum(v)), weight, denom * rn**n)
 
 
-def _operators(t: ExactTorus | TorusOperators) -> TorusOperators:
-    return t if isinstance(t, TorusOperators) else TorusOperators(t)
+def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
+    """div_bar of an arbitrary polynomial f(H), by the chain rule."""
+    return _poly_chain_rule(t, f, DIVBAR_H, BILINEAR, 3)
 
 
-def divbar_poly(t: ExactTorus | TorusOperators, f: HPoly) -> HPoly:
-    """div_bar of an arbitrary polynomial f(H), by the chain rule; t is a
-    torus or its TorusOperators, whose closed forms are then reused."""
-    ops = _operators(t)
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    return d1 * ops.divbar_h + d2 * ops.divbar_bilinear
-
-
-def laplacian_poly(t: ExactTorus | TorusOperators, f: HPoly) -> HPoly:
-    """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule;
-    t as for :func:`divbar_poly`."""
-    ops = _operators(t)
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    return d1 * ops.laplacian_h + d2 * ops.grad_h_squared
+def laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
+    """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule."""
+    return _poly_chain_rule(t, f, LAPLACIAN_H, GRAD_H_SQUARED, 2)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from . import h_calculus
 from .exact_algebra import HPoly, LinearForm
@@ -193,35 +193,6 @@ class ResidualSystem:
         return HPoly.of([row.evaluate(values) for row in self.rows])
 
 
-# an integer polynomial x^shift * (c_0 + c_1 x + ...), kept without the
-# shift's leading zeros
-Shifted = tuple[int, list[int]]
-
-
-def _derivative(f: Shifted) -> Shifted:
-    shift, coeffs = f
-    if shift:
-        return shift - 1, [(shift + m) * c for m, c in enumerate(coeffs)]
-    return 0, [m * c for m, c in enumerate(coeffs)][1:]
-
-
-def _products_sum(pairs: Iterable[tuple[Shifted, Sequence[int]]]) -> list[int]:
-    """Sum of the products f q of shifted and plain integer coefficient
-    lists, as one plain list with trailing zeros trimmed."""
-    out: list[int] = []
-    for (shift, p), q in pairs:
-        size = shift + len(p) + len(q) - 1
-        if len(out) < size:
-            out.extend([0] * (size - len(out)))
-        for a, pa in enumerate(p, shift):
-            if pa:
-                for b, qb in enumerate(q, a):
-                    out[b] += pa * qb
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     """Residual of the single density E = H^i K^j at zero pressure, as an
     integer table (U, V) of :mod:`torusvar.h_calculus` of weight i + 2 j + 1:
@@ -233,7 +204,7 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     linearly, which is where the affine form in 1/rho comes from.
     """
 
-    def term(h_power: int, k_power: int, coeff: int) -> Shifted:
+    def term(h_power: int, k_power: int, coeff: int) -> h_calculus.Shifted:
         # coeff * x^h_power * K_hat^k_power, with K_hat = 2 x - 1
         return h_power, [
             coeff * comb(k_power, m) * 2**m * (-1) ** (k_power - m) for m in range(k_power + 1)
@@ -252,12 +223,11 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
         parts.append((e_k, h_calculus.DIVBAR_H, h_calculus.BILINEAR, [0, -2, 4]))
     u_pairs = [(term(i + 1, j, -4), [1])]  # -4HE
     v_pairs = []
-    for e, (op_u, op_v), (rem_u, rem_v), algebraic in parts:
-        d1 = _derivative(e)
-        d2 = _derivative(d1)
-        u_pairs += [(d1, op_u), (d2, rem_u), (e, algebraic)]
-        v_pairs += [(d1, op_v), (d2, rem_v)]
-    return _products_sum(u_pairs), _products_sum(v_pairs)
+    for e, op, remainder, algebraic in parts:
+        u, v = h_calculus.chain_rule(e, op, remainder)
+        u_pairs += [*u, (e, algebraic)]
+        v_pairs += v
+    return h_calculus.products_sum(u_pairs), h_calculus.products_sum(v_pairs)
 
 
 @dataclass(frozen=True)
@@ -296,17 +266,6 @@ class ResidualRows:
         num, den = (1, 0) if ratio is None else (ratio.numerator, ratio.denominator)
         return [[num * x + den * y for x, y in zip(ur, vr)] for ur, vr in zip(self.u, self.v)]
 
-    def evaluate(self, t: ExactTorus) -> list[list[Fraction]]:
-        """The actual rows on t: r^(p - 3 - w_k) (U_pk + V_pk / rho) at column k."""
-        ratio = t.ratio
-        weights = self.weights
-        exponents = range(-3 - max(weights), len(self.u) - 2 - min(weights))
-        factor = {e: t.r**e / ratio.numerator for e in exponents}
-        return [
-            [s * factor[p - 3 - w] for s, w in zip(row, weights)]
-            for p, row in enumerate(self.at_ratio(ratio))
-        ]
-
 
 def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
     """Residual rows as linear forms in the unknown coefficients and p.
@@ -317,8 +276,13 @@ def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
     if not lagrangian.unknowns:
         raise ValueError("el_system expects at least one unknown coefficient")
     residual = ResidualRows.of(lagrangian)
+    # column k is the table of weight 3 + w_k of its coefficient
+    columns = [
+        h_calculus.read(t, column, 3 + w)
+        for column, w in zip(zip(*residual.at_ratio(t.ratio)), residual.weights)
+    ]
     rows = []
-    for values in residual.evaluate(t):
+    for values in zip(*columns):
         terms: dict[str, Fraction] = {}
         constant = Fraction(0)
         for c, value in zip(residual.coefficients, values):
@@ -340,25 +304,13 @@ def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
     """
     lagrangian._require_numeric()
     residual = ResidualRows.of(lagrangian)
-    rn, rd = t.r.numerator, t.r.denominator
-
-    def r_power(e: int) -> tuple[int, int]:
-        return (rn**e, rd**e) if e >= 0 else (rd**-e, rn**-e)
-
     # the coefficients normalized as c r^-w, as integers over one denominator
-    normalized = []
-    for c, w in zip(residual.coefficients, residual.weights):
-        num, den = r_power(-w)
-        normalized.append(Fraction(c.numerator * num, c.denominator * den))
+    normalized = [c * t.r**-w for c, w in zip(residual.coefficients, residual.weights)]
     denom = lcm(*(c.denominator for c in normalized))
     ints = [c.numerator * (denom // c.denominator) for c in normalized]
-    # row p is r^(p - 3) / (rho numerator * denom) times one integer dot product
-    denom *= t.ratio.numerator
-    coeffs = []
-    for p, row in enumerate(residual.at_ratio(t.ratio)):
-        num, den = r_power(p - 3)
-        coeffs.append(Fraction(sum(map(mul, ints, row)) * num, denom * den))
-    return HPoly.of(coeffs)
+    # row p is the table of weight 3 of one integer dot product
+    rows = [sum(map(mul, ints, row)) for row in residual.at_ratio(t.ratio)]
+    return HPoly.of(h_calculus.read(t, rows, 3, denom))
 
 
 def el_residual_numeric_scaled(

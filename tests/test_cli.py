@@ -605,3 +605,42 @@ def test_readme_commands_run(capsys):
         if argv[0] in NUMERIC_COMMANDS:
             assert set(payload["diagnostics"]) == {"grid", "grid_source"}, argv
             assert payload["inputs"]["grid"] == (payload["diagnostics"]["grid"] if "--grid" in argv else None)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["energy", "--degree", "2", "--r", "1e200"], "r^2 is about 1e400"),
+        (["verify", "--degree", "2", "--r", "1e200"], "r^2 is about 1e400"),
+        (["scan", "--r", "1e200"], "r^2 is about 1e400"),
+        (["second-variation", "--degree", "2", "--r", "1e200"], "r^2 is about 1e400"),
+        # a^2 = 2 r^2 would flush to 0.0, which read as a = 0
+        (["verify", "--degree", "2", "--r", "1e-200"], "r^2 is about 1e-400"),
+        (["energy", "--degree", "12", "--r", "1e-30"], "the coefficient of H^2 K^0 is about 1e318"),
+        (["verify", "--degree", "24", "--r", "1e-20"], "the coefficient of H^10 K^0 is about 1e319"),
+        (["scan", "--degree", "30", "--r", "1e-12"], "the coefficient of H^9 K^0 is about 1e312"),
+    ],
+)
+def test_numbers_outside_the_float_range_are_bad_input(capsys, argv, name):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name}, outside the float range [2.225e-308, 1.798e+308]" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_non_finite_result_exits_three_and_prints_nothing(capsys, fmt):
+    argv = ["second-variation", "--degree", "2", "--modes", "cos1=1e200", "--format", fmt]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite result: energy.total = nan" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_with_gauss_at_degree_two_asks_for_terms(capsys, command):
+    assert main([command, "--degree", "2", "--with-gauss", "--a2", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--with-gauss: degree 2 has no default K terms; name them with --terms" in captured.err

@@ -24,7 +24,7 @@ from torusvar.torus_geometry import (
     spectral_derivative,
 )
 
-from oracles import laplacian_pow_leading_coeffs
+from oracles import laplacian_pow_leading_coeffs, ref_divbar_poly, ref_laplacian_poly
 
 CLIFFORD = ExactTorus(Fraction(2), 1)
 T21 = ExactTorus(Fraction(4), 1)
@@ -119,13 +119,16 @@ def test_leading_coefficients_closed_form_exact():
 
 
 def test_chain_rule_consistency_exact():
-    for t in random_exact_tori(3, seed=11):
-        for n in range(2, 7):
-            mono = HPoly.monomial(n)
-            d1 = mono.derivative()
-            d2 = d1.derivative()
-            expected = d1 * laplacian_h(t) + d2 * grad_h_squared(t)
-            assert laplacian_poly(t, mono) == expected
+    # the integer chain rule against the oracle's HPoly one, on 240 random
+    # (torus, rational polynomial) pairs; degree -1 is the zero polynomial
+    rng = random.Random(12)
+    tori = random_exact_tori(40, seed=11)
+    for count in range(240):
+        t = tori[count % len(tori)]
+        degree = count % 9 - 1
+        f = HPoly.of(Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(degree + 1))
+        assert laplacian_poly(t, f) == ref_laplacian_poly(t, f)
+        assert divbar_poly(t, f) == ref_divbar_poly(t, f)
 
 
 def test_coefficients_use_only_even_powers_of_large_radius():
