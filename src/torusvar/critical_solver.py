@@ -137,8 +137,7 @@ class SolutionReport:
     assignments: dict[str, LinearForm]
     delta: Fraction | None
     degeneracy: DegeneracyInfo | None
-    consistent: bool
-    offending_rows: tuple[int, ...] = ()
+    consistent: bool  # True for every solved family: its rows are homogeneous
 
     def lagrangian_at(self, free_values: Mapping[str, Fraction]) -> Lagrangian:
         """Instantiate the family at concrete free-parameter values."""
@@ -258,7 +257,6 @@ def _solve_family(
         delta=delta,
         degeneracy=degeneracy,
         consistent=solution.consistent,
-        offending_rows=solution.offending_rows,
     )
 
 

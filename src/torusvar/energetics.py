@@ -69,10 +69,6 @@ class Perturbation:
                 if j < 0:
                     raise ValueError("mode indices must be nonnegative")
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.cos_modes.values()) and not any(self.sin_modes.values())
-
     def scale(self, factor: float) -> "Perturbation":
         return Perturbation(
             {j: factor * c for j, c in self.cos_modes.items()},

@@ -6,9 +6,13 @@ comparison here.  Three layers are provided.
 
 * ``HPoly`` -- a dense univariate polynomial with rational coefficients,
   indexed so that ``coeffs[k]`` multiplies ``x**k``.  Trailing zeros are
-  trimmed, the zero polynomial has an empty coefficient tuple.
+  trimmed, the zero polynomial has an empty coefficient tuple.  It is the
+  value type of the closed forms and of the exact residual, which are
+  built from integer tables; it holds no ring arithmetic, only scaling and
+  float evaluation.
 * ``LinearForm`` -- a sparse linear expression ``sum_i c_i * x_i + const``
-  over named unknowns.
+  over named unknowns: the rows of a residual system and the solved
+  assignments, read by coefficient or evaluated at given values.
 * ``solve_rows`` -- exact solving of rational row vectors, entirely in
   integers (sparse fraction-free elimination: a pivot touches only the rows
   with a nonzero entry in its column, and every row is kept coprime);
@@ -82,10 +86,6 @@ class HPoly:
         return HPoly(())
 
     @staticmethod
-    def const(value) -> "HPoly":
-        return HPoly.of([value])
-
-    @staticmethod
     def monomial(power: int, coeff=1) -> "HPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
@@ -100,53 +100,11 @@ class HPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __add__(self, other: "HPoly") -> "HPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return HPoly.of(out)
-
-    def __neg__(self) -> "HPoly":
-        return HPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "HPoly") -> "HPoly":
-        if self.is_zero or other.is_zero:
-            return HPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return HPoly.of(out)
-
     def scale(self, factor) -> "HPoly":
         factor = _as_fraction(factor)
         if factor == 0:
             return HPoly.zero()
         return HPoly(tuple(c * factor for c in self.coeffs))
-
-    def derivative(self) -> "HPoly":
-        return HPoly.of([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x) -> Fraction:
-        """Exact Horner evaluation (0 for the zero polynomial)."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in floats; x may be a numpy array of samples."""
@@ -186,36 +144,11 @@ class LinearForm:
     def coefficient(self, name: str) -> Fraction:
         return self.terms.get(name, Fraction(0))
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return LinearForm(terms, self.constant + other.constant)
-
-    def scale(self, factor) -> "LinearForm":
-        factor = _as_fraction(factor)
-        if factor == 0:
-            return LinearForm()
-        return LinearForm(
-            {k: v * factor for k, v in self.terms.items()}, self.constant * factor
-        )
-
     def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
         total = self.constant
         for name, coeff in self.terms.items():
             total += coeff * _as_fraction(assignment[name])
         return total
-
-    def substitute(self, forms: Mapping[str, "LinearForm"]) -> "LinearForm":
-        """Replace unknowns by linear forms (used to push bound variables
-        down to free parameters)."""
-        out = LinearForm(constant=self.constant)
-        for name, coeff in self.terms.items():
-            if name in forms:
-                out = out + forms[name].scale(coeff)
-            else:
-                out = out + LinearForm.variable(name, coeff)
-        return out
 
     def __str__(self) -> str:
         bits = [f"{v}*{k}" for k, v in sorted(self.terms.items())]

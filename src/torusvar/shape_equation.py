@@ -45,7 +45,6 @@ __all__ = [
     "Lagrangian",
     "HelfrichParams",
     "helfrich_lagrangian",
-    "ResidualSystem",
     "ResidualRows",
     "residual_column",
     "el_system",
@@ -176,23 +175,6 @@ def helfrich_lagrangian(params: HelfrichParams) -> Lagrangian:
     )
 
 
-@dataclass(frozen=True)
-class ResidualSystem:
-    """The Euler-Lagrange residual with unknown coefficients: one LinearForm
-    per power of H.  The torus is critical exactly when every row vanishes."""
-
-    unknowns: tuple[str, ...]
-    rows: tuple[LinearForm, ...]
-
-    def row(self, power: int) -> LinearForm:
-        if 0 <= power < len(self.rows):
-            return self.rows[power]
-        return LinearForm()
-
-    def substitute(self, values: Mapping[str, Fraction]) -> HPoly:
-        return HPoly.of([row.evaluate(values) for row in self.rows])
-
-
 def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
     """Residual of the single density E = H^i K^j at zero pressure, as an
     integer table (U, V) of :mod:`torusvar.h_calculus` of weight i + 2 j + 1:
@@ -267,8 +249,9 @@ class ResidualRows:
         return [[num * x + den * y for x, y in zip(ur, vr)] for ur, vr in zip(self.u, self.v)]
 
 
-def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
-    """Residual rows as linear forms in the unknown coefficients and p.
+def el_system(t: ExactTorus, lagrangian: Lagrangian) -> tuple[LinearForm, ...]:
+    """Residual rows as linear forms in the unknown coefficients and p, one
+    per power of H up to the last nonzero row.
 
     Each term H^i K^j contributes its coefficient times its column; the
     pressure's column is the constant 2.
@@ -293,7 +276,7 @@ def el_system(t: ExactTorus, lagrangian: Lagrangian) -> ResidualSystem:
         rows.append(LinearForm(terms, constant))
     while rows and rows[-1].is_zero:
         rows.pop()
-    return ResidualSystem(unknowns=lagrangian.unknowns, rows=tuple(rows))
+    return tuple(rows)
 
 
 def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:

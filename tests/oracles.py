@@ -4,10 +4,12 @@ and the list of families that the exact-families benchmark solves.
 None of them shares code with the integer kernel: the paper's ratio
 constraint is written out as a formula, the solver below works on plain
 Fractions, and the residual is built by the Euler-Lagrange equation as
-written, with its own chain rule in HPoly arithmetic.  It shares with the
+written, with its own chain rule on polynomials held as tuples of
+Fractions (``coeffs[k]`` multiplies H^k, no trailing zeros, as in
+``HPoly.coeffs``) and the small ring helpers below.  It shares with the
 package only the operator closed forms of :mod:`torusvar.h_calculus`, which
 the identities table and the grid-oracle tests check against the spectral
-operators.
+operators, and reads their ``coeffs``.
 
 The second half is a plain reference for the grid oracles: every call builds
 its own nodes, curvatures and fundamental forms, evaluates each term of a
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from torusvar.critical_solver import default_kterms, theorem_kterms
-from torusvar.exact_algebra import HPoly
+from torusvar.exact_algebra import LinearForm
 from torusvar.h_calculus import (
     ExactTorus,
     divbar_bilinear,
@@ -93,52 +95,107 @@ def gauss_jordan(rows, unknowns, pivot_order=None):
     return pivots, free, assignments, offending
 
 
-def chain_rule(f: HPoly, op: HPoly, remainder: HPoly) -> HPoly:
+def trimmed(values) -> tuple:
+    """A coefficient tuple without trailing zeros."""
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def add(*polys) -> tuple:
+    """Sum of coefficient tuples."""
+    out = [Fraction(0)] * max(map(len, polys), default=0)
+    for p in polys:
+        for k, c in enumerate(p):
+            out[k] += c
+    return trimmed(out)
+
+
+def multiply(p, q) -> tuple:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            out[i + j] += ci * cj
+    return trimmed(out)
+
+
+def scale(p, factor) -> tuple:
+    return trimmed(c * factor for c in p)
+
+
+def derivative(p) -> tuple:
+    return trimmed(k * c for k, c in enumerate(p))[1:]
+
+
+def evaluate(p, x) -> Fraction:
+    """Exact Horner evaluation (0 for the zero polynomial)."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def power(p, e: int) -> tuple:
+    out = (Fraction(1),)
+    for _ in range(e):
+        out = multiply(out, p)
+    return out
+
+
+def substitute(form: LinearForm, forms) -> LinearForm:
+    """``form`` with each unknown named in ``forms`` replaced by its
+    LinearForm (to push bound unknowns down to free parameters)."""
+    terms: dict[str, Fraction] = {}
+    constant = form.constant
+    for name, coeff in form.terms.items():
+        replacement = forms.get(name, LinearForm.variable(name))
+        for other, c in replacement.terms.items():
+            terms[other] = terms.get(other, Fraction(0)) + coeff * c
+        constant += coeff * replacement.constant
+    return LinearForm(terms, constant)
+
+
+def chain_rule(f, op, remainder) -> tuple:
     """op(f(H)) = f'(H) op(H) + f''(H) B(H), B the operator's remainder."""
-    d1 = f.derivative()
-    return d1 * op + d1.derivative() * remainder
+    d1 = derivative(f)
+    return add(multiply(d1, op), multiply(derivative(d1), remainder))
 
 
-def ref_laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    return chain_rule(f, laplacian_h(t), grad_h_squared(t))
+def ref_laplacian_poly(t: ExactTorus, f) -> tuple:
+    return chain_rule(f, laplacian_h(t).coeffs, grad_h_squared(t).coeffs)
 
 
-def ref_divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    return chain_rule(f, divbar_h(t), divbar_bilinear(t))
+def ref_divbar_poly(t: ExactTorus, f) -> tuple:
+    return chain_rule(f, divbar_h(t).coeffs, divbar_bilinear(t).coeffs)
 
 
-def monomial_residual(t: ExactTorus, i: int, j: int) -> HPoly:
+def monomial_residual(t: ExactTorus, i: int, j: int) -> tuple:
     """Residual of E = H^i K^j at zero pressure on t,
 
         (lap + 4 H^2 - 2 K) E_H + 2 (div_bar + 2 K H) E_K - 4 H E,
 
     with K = k_as_hpoly(t) and the chain rules above."""
-    h, k = HPoly.monomial(1), k_as_hpoly(t)
+    h, k = (0, 1), k_as_hpoly(t).coeffs
 
-    def power(p: HPoly, e: int) -> HPoly:
-        out = HPoly.const(1)
-        for _ in range(e):
-            out = out * p
-        return out
-
-    residual = (h * power(h, i) * power(k, j)).scale(-4)
+    residual = scale(multiply(power(h, i + 1), power(k, j)), -4)
     if i >= 1:
-        e_h = (power(h, i - 1) * power(k, j)).scale(i)
-        algebraic = h * h * HPoly.const(4) - k.scale(2)
-        residual = residual + ref_laplacian_poly(t, e_h) + algebraic * e_h
+        e_h = scale(multiply(power(h, i - 1), power(k, j)), i)
+        algebraic = add((0, 0, 4), scale(k, -2))
+        residual = add(residual, ref_laplacian_poly(t, e_h), multiply(algebraic, e_h))
     if j >= 1:
-        e_k = (power(h, i) * power(k, j - 1)).scale(j)
-        residual = residual + (ref_divbar_poly(t, e_k) + (k * h).scale(2) * e_k).scale(2)
+        e_k = scale(multiply(power(h, i), power(k, j - 1)), j)
+        residual = add(residual, scale(add(ref_divbar_poly(t, e_k), multiply(scale(multiply(k, h), 2), e_k)), 2))
     return residual
 
 
-def lagrangian_residual(t: ExactTorus, lagrangian) -> HPoly:
+def lagrangian_residual(t: ExactTorus, lagrangian) -> tuple:
     """Residual of a numeric Lagrangian on t: its terms' monomial residuals
     plus twice the pressure."""
-    residual = HPoly.const(2 * lagrangian.pressure)
-    for (i, j), c in lagrangian.terms.items():
-        residual = residual + monomial_residual(t, i, j).scale(c)
-    return residual
+    return add(
+        (2 * lagrangian.pressure,),
+        *(scale(monomial_residual(t, i, j), c) for (i, j), c in lagrangian.terms.items()),
+    )
 
 
 def exact_families() -> list[tuple[int, tuple, Fraction]]:
@@ -293,21 +350,24 @@ def ref_identity_checks(torus, n):
     shape = torus.to_shape()
     h, k_vals = ref_curvatures(shape, ref_nodes(n))
 
-    def compare(closed, grid_values):
-        exact = closed.eval_float(h)
-        scale = max(float(np.max(np.abs(grid_values))), 1.0)
-        return float(np.max(np.abs(exact - grid_values))) / scale
+    def compare(coeffs, grid_values):
+        # Horner in floats, as HPoly.eval_float
+        exact = 0.0
+        for c in reversed(coeffs):
+            exact = exact * h + float(c)
+        magnitude = max(float(np.max(np.abs(grid_values))), 1.0)
+        return float(np.max(np.abs(exact - grid_values))) / magnitude
 
     df = ref_derivative(h)
-    checks = [("laplacian(H)", compare(laplacian_h(torus), ref_lb(shape, h)))]
-    checks.append(("|grad H|^2", compare(grad_h_squared(torus), df * df / float(torus.r) ** 2)))
+    checks = [("laplacian(H)", compare(laplacian_h(torus).coeffs, ref_lb(shape, h)))]
+    checks.append(("|grad H|^2", compare(grad_h_squared(torus).coeffs, df * df / float(torus.r) ** 2)))
     for k in range(2, 7):
-        checks.append((f"laplacian(H^{k})", compare(ref_laplacian_poly(torus, HPoly.monomial(k)), ref_lb(shape, h**k))))
-    checks.append(("div_bar(H)", compare(divbar_h(torus), ref_divbar(shape, h))))
-    checks.append(("div_bar(K)", compare(divbar_k(torus), ref_divbar(shape, k_vals))))
-    checks.append(("bilinear term", compare(divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * df * df)))
+        checks.append((f"laplacian(H^{k})", compare(ref_laplacian_poly(torus, (0,) * k + (1,)), ref_lb(shape, h**k))))
+    checks.append(("div_bar(H)", compare(divbar_h(torus).coeffs, ref_divbar(shape, h))))
+    checks.append(("div_bar(K)", compare(divbar_k(torus).coeffs, ref_divbar(shape, k_vals))))
+    checks.append(("bilinear term", compare(divbar_bilinear(torus).coeffs, k_vals * (1.0 / float(torus.r)) * df * df)))
     for k in range(2, 6):
-        checks.append((f"div_bar(H^{k})", compare(ref_divbar_poly(torus, HPoly.monomial(k)), ref_divbar(shape, h**k))))
+        checks.append((f"div_bar(H^{k})", compare(ref_divbar_poly(torus, (0,) * k + (1,)), ref_divbar(shape, h**k))))
     return checks
 
 

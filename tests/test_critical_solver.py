@@ -16,7 +16,7 @@ from torusvar.exact_algebra import LinearForm, solve_linear_system
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import Lagrangian, el_system
 
-from oracles import constraint_ratio
+from oracles import constraint_ratio, substitute
 
 
 def form(terms, const=0):
@@ -233,10 +233,10 @@ def test_fourth_order_reduced_family_recovers_the_constraint():
     # the worked form of this family fixes a2 = 23 a1 / r; on that slice the
     # solver reproduces the remaining coefficients verbatim
     slice_values = {"a2": form({"a1": 23})}
-    a7 = rep.assignments["a7"].substitute(slice_values)
-    a6 = rep.assignments["a6"].substitute(slice_values)
-    a5 = rep.assignments["a5"].substitute(slice_values)
-    p = rep.assignments["p"].substitute(slice_values)
+    a7 = substitute(rep.assignments["a7"], slice_values)
+    a6 = substitute(rep.assignments["a6"], slice_values)
+    a5 = substitute(rep.assignments["a5"], slice_values)
+    p = substitute(rep.assignments["p"], slice_values)
     assert a7 == form({"a1": Fraction(783, 5), "a3": -1})
     assert a6 == form({"a1": Fraction(-783, 20), "a3": Fraction(1, 4)})
     assert a5 == form({"a1": Fraction(3369, 20), "a3": Fraction(-3, 4), "a4": -1})
@@ -248,7 +248,7 @@ def test_fourth_order_reduced_family_radius_powers():
     assert rep.constraint == Fraction(12, 11)
     # a2 = 23 a1 / r and a7 = (783 a1 - 5 a3 r^2)/(5 r) on the worked slice
     slice_values = {"a2": form({"a1": Fraction(23, 2)})}
-    a7 = rep.assignments["a7"].substitute(slice_values)
+    a7 = substitute(rep.assignments["a7"], slice_values)
     assert a7 == form({"a1": Fraction(783, 10), "a3": -2})
 
 
@@ -363,8 +363,7 @@ def test_fixed_coefficients_can_make_the_system_inconsistent():
     # point exists, and the solve says so instead of raising
     torus = ExactTorus(Fraction(3), 1)
     lag = Lagrangian({(2, 0): 1, (1, 0): "a2", (0, 0): "a3"}, pressure="p")
-    system = el_system(torus, lag)
-    outcome = solve_linear_system(system.rows, system.unknowns)
+    outcome = solve_linear_system(el_system(torus, lag), lag.unknowns)
     assert not outcome.consistent
     assert 3 in outcome.offending_rows
 
@@ -374,8 +373,8 @@ def test_first_order_system_kernel_is_the_one_dimensional_family():
     # direction is the whole family a2 = -a1/r, p = -a1/r^2
     for r in (Fraction(1), Fraction(2)):
         torus = ExactTorus(3 * r * r, r)
-        system = el_system(torus, family_lagrangian(1))
-        solution = solve_linear_system(system.rows, ["a1", "a2", "p"], ["p", "a2"])
+        rows = el_system(torus, family_lagrangian(1))
+        solution = solve_linear_system(rows, ["a1", "a2", "p"], ["p", "a2"])
         assert solution.free == ("a1",)
         assert solution.assignments["a2"] == form({"a1": -1 / r})
         assert solution.assignments["p"] == form({"a1": -1 / r**2})
@@ -401,8 +400,8 @@ def test_family_solve_matches_the_fraction_route():
             else:
                 report = solve_pure_h(n, r)
             torus = report.exact_torus()
-            system = el_system(torus, lagrangian)
-            direct = solve_linear_system(system.rows, system.unknowns, _pivot_order(n, len(kterms)))
+            rows = el_system(torus, lagrangian)
+            direct = solve_linear_system(rows, lagrangian.unknowns, _pivot_order(n, len(kterms)))
             assert report.consistent and direct.consistent
             assert report.free_parameters == direct.free, (n, kterms, r)
             assert report.assignments == direct.assignments, (n, kterms, r)

@@ -4,6 +4,7 @@ and is imported from, its own module."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ MODULE_ONLY = {
     "energetics": ("EnergyReport",),
     "exact_algebra": ("HPoly", "LinearForm", "solve_linear_system"),
     "h_calculus": ("divbar_bilinear", "divbar_k", "divbar_poly", "k_as_hpoly", "laplacian_poly"),
-    "shape_equation": ("ResidualSystem", "el_residual", "el_system"),
+    "shape_equation": ("el_residual", "el_system"),
     "torus_geometry": ("AreaVolume", "suggest_grid"),
 }
 
@@ -82,20 +83,46 @@ def _identifiers(path: Path) -> set[str]:
     return names
 
 
+def _programs() -> list[Path]:
+    """The files that run the package: src/, demos/ and perfbench/ but its tests."""
+    programs = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]
+    return programs + [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+
+
+def _exports():
+    """(module, exported name, object) for every module of the package."""
+    for path in sorted((ROOT / "src" / "torusvar").glob("*.py")):
+        module = importlib.import_module("torusvar" if path.stem == "__init__" else f"torusvar.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            yield path.stem, name, getattr(module, name)
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     # library code that only tests call belongs in tests/oracles.py
-    programs = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]
-    programs += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    used = set().union(*map(_identifiers, programs))
+    used = set().union(*map(_identifiers, _programs()))
     used |= {name for functions in _load_tracing().TRACED.values() for name in functions}
+    unused = [f"{module}.{name}" for module, name, _ in _exports() if name not in used]
+    assert unused == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
+    # the same rule one level down: each public method, property or static
+    # method is read as an attribute somewhere in the programs; dunder
+    # operators and names that two classes share are out of its reach
+    used = {
+        node.attr
+        for path in _programs()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    members = (property, staticmethod, classmethod)
     unused = [
-        f"{path.stem}.{name}"
-        for path in sorted((ROOT / "src" / "torusvar").glob("*.py"))
-        for name in getattr(
-            importlib.import_module("torusvar" if path.stem == "__init__" else f"torusvar.{path.stem}"),
-            "__all__",
-            (),
-        )
-        if name not in used
+        f"{name}.{member}"
+        for _, name, cls in _exports()
+        if inspect.isclass(cls)
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, members))
+        and member not in used
     ]
     assert unused == []

@@ -20,7 +20,7 @@ from torusvar.shape_equation import (
 )
 from torusvar.torus_geometry import curvatures, grid_nodes, suggest_grid
 
-from oracles import exact_families, lagrangian_residual, monomial_residual
+from oracles import add, exact_families, lagrangian_residual, monomial_residual
 
 CLIFFORD = ExactTorus(Fraction(2), 1)
 
@@ -130,7 +130,7 @@ def test_residual_is_additive_in_lagrangian_and_pressure():
             for km, c in t2.items():
                 merged[km] = merged.get(km, Fraction(0)) + c
             combined = Lagrangian(merged, p1 + p2)
-            assert el_residual(t, combined) == el_residual(t, la) + el_residual(t, lb)
+            assert el_residual(t, combined).coeffs == add(el_residual(t, la).coeffs, el_residual(t, lb).coeffs)
 
 
 def test_pure_gauss_term_never_contributes():
@@ -151,12 +151,16 @@ def _pure_h_family(n):
     return Lagrangian(terms, pressure="p")
 
 
+def _row(rows, power):
+    """Row ``power`` of an el_system result; the zero form above its last row."""
+    return rows[power] if power < len(rows) else LinearForm()
+
+
 def test_top_row_reduces_to_the_leading_coefficient_equation():
     # coefficient of H^(n+1) must be a1 * (4 n (n-1)^2 (r^2 - a^2)/a^2 + 4(n-1))
     for t in random_exact_tori(3, seed=29):
         for n in range(2, 11):
-            system = el_system(t, _pure_h_family(n))
-            row = system.row(n + 1)
+            row = _row(el_system(t, _pure_h_family(n)), n + 1)
             expected = Fraction(4 * n * (n - 1) ** 2) * (t.r2 - t.a2) / t.a2 + 4 * (n - 1)
             assert row == LinearForm({"a1": expected})
 
@@ -171,23 +175,24 @@ def test_rows_are_affine_in_inverse_a_squared():
     families += [family_lagrangian(n, theorem_kterms(n)) for n in range(4, 9)]
     for lag in families:
         first, second, third = (el_system(ExactTorus(s, r), lag) for s in (s1, s2, s3))
-        for power in range(max(len(first.rows), len(second.rows), len(third.rows))):
-            interpolated = first.row(power).scale(weight) + second.row(power).scale(1 - weight)
-            assert interpolated == third.row(power), (lag.terms, power)
+        for power in range(max(len(first), len(second), len(third))):
+            # coefficient by coefficient, the constant last
+            rows = [_row(system, power) for system in (first, second, third)]
+            x, y, z = ([*map(row.coefficient, lag.unknowns), row.constant] for row in rows)
+            assert [weight * a + (1 - weight) * b for a, b in zip(x, y)] == z, (lag.terms, power)
 
 
 def test_second_order_top_row_forces_clifford_ratio():
     # the top-row coefficient vanishes exactly at a^2 = 2 r^2
     t = ExactTorus(Fraction(2), 1)
-    system = el_system(t, _pure_h_family(2))
-    assert system.row(3).is_zero
+    assert _row(el_system(t, _pure_h_family(2)), 3).is_zero
     t_off = ExactTorus(Fraction(5, 2), 1)
-    assert not el_system(t_off, _pure_h_family(2)).row(3).is_zero
+    assert not _row(el_system(t_off, _pure_h_family(2)), 3).is_zero
 
 
 def test_known_solution_zeroes_every_system_row():
     t = ExactTorus(Fraction(6, 5), 1)
-    system = el_system(t, _pure_h_family(3))
+    rows = el_system(t, _pure_h_family(3))
     values = {
         "a1": Fraction(2),
         "a2": Fraction(15),
@@ -195,7 +200,7 @@ def test_known_solution_zeroes_every_system_row():
         "a4": Fraction(-1),
         "p": Fraction(1),
     }
-    assert system.substitute(values).is_zero
+    assert all(row.evaluate(values) == 0 for row in rows)
 
 
 def test_helfrich_expansion():
@@ -275,7 +280,7 @@ def test_integer_columns_match_the_closed_form_residual():
                 t.r ** (p - i - 2 * j - 1) * (up + vp / t.ratio)
                 for p, (up, vp) in enumerate(zip_longest(u, v, fillvalue=0))
             ]
-            assert HPoly.of(coeffs) == monomial_residual(t, i, j), (i, j)
+            assert HPoly.of(coeffs).coeffs == monomial_residual(t, i, j), (i, j)
 
 
 def test_el_residual_matches_the_closed_form_residual():
@@ -290,7 +295,7 @@ def test_el_residual_matches_the_closed_form_residual():
             lagrangian = Lagrangian(terms, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             residual = el_residual(t, lagrangian)
             assert not residual.is_zero
-            assert residual == lagrangian_residual(t, lagrangian)
+            assert residual.coeffs == lagrangian_residual(t, lagrangian)
 
 
 @pytest.mark.parametrize(
@@ -307,4 +312,4 @@ def test_random_family_members_are_critical_by_the_closed_forms(n, kterms, ratio
         {f: Fraction(rng.randint(1, 999), rng.randint(1, 999)) for f in report.free_parameters}
     )
     assert el_residual(t, member).is_zero
-    assert lagrangian_residual(t, member).is_zero
+    assert lagrangian_residual(t, member) == ()
