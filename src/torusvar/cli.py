@@ -200,16 +200,17 @@ def _check_options(args) -> None:
     at grid/2, so it needs 32 and a multiple of 4), a --tolerance that is
     not a finite positive number, and a --degree (with its --terms) whose
     family residual would exceed ``MAX_FAMILY_CELLS``."""
-    if args.grid is not None:
+    grid = getattr(args, "grid", None)
+    if grid is not None:
         if args.command == "second-variation":
             minimum, step = 32, 4
             reason = " and a multiple of 4 (second-variation also evaluates at grid/2, which must be even)"
         else:
             minimum, step, reason = 16, 2, ""
-        if args.grid < minimum or args.grid % step:
-            raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {args.grid}")
-        if args.grid > MAX_GRID:
-            raise ValueError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+        if grid < minimum or grid % step:
+            raise ValueError(f"--grid must be an even integer >= {minimum}{reason}, got {grid}")
+        if grid > MAX_GRID:
+            raise ValueError(f"--grid must be at most {MAX_GRID}, got {grid}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"--tolerance must be a finite number > 0, got {tolerance}")
@@ -352,14 +353,16 @@ def cmd_energy(args) -> int:
     )
     (t,) = _float_tori(r, [ratio], lagrangian)
     diagnostics = _grid(args, t)
+    grid = diagnostics["grid"]
     with _quiet_floats():
-        report = curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"])
+        report = curvature_energy(t, lagrangian, lagrangian.pressure, grid)
+        coarse = curvature_energy(t, lagrangian, n=grid // 2).area_term
     text = (
         f"area term: {_fmt_float(report.area_term)}\n"
         f"pressure term: {_fmt_float(report.pressure_term)}\n"
         f"total: {_fmt_float(report.total)}\n"
-        f"grid: {report.grid_n}\n"
-        f"quadrature error estimate: {_fmt_float(report.quadrature_error)}\n"
+        f"grid: {grid}\n"
+        f"quadrature error estimate: {_fmt_float(abs(report.area_term - coarse))}\n"
     )
     payload = _base_payload(
         "energy",
@@ -522,9 +525,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, grid=True):
         p.add_argument("--r", default="1", help="small radius r as an exact fraction")
-        p.add_argument("--grid", type=int, help="u-grid size (default: suggest_grid of the torus)")
+        if grid:
+            p.add_argument("--grid", type=int, help="u-grid size (default: suggest_grid of the torus)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
@@ -533,7 +537,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a2", default=None, help="exact a^2 (with --with-gauss)")
     p.add_argument("--with-gauss", action="store_true", help="include Gaussian curvature terms")
     p.add_argument("--terms", default=None, help="K-term list, e.g. K2,HK,H2K")
-    common(p)
+    common(p, grid=False)
 
     p = sub.add_parser("verify", help="solve, then check the family against both residual routes")
     p.add_argument("--degree", type=int, required=True)

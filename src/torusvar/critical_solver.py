@@ -204,25 +204,34 @@ def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
     return ratio
 
 
-def _solve_family(
-    n: int,
-    kterms: tuple[tuple[int, int], ...],
-    rows: ResidualRows,
-    r: Fraction,
-    ratio: Fraction | None,
-    constraint: Fraction | None,
-) -> SolutionReport:
-    """The family at radii (ratio r^2, r), solved on the integer rows
-    num U + den V of its unknowns normalized by r^-weight (``ratio`` None
-    reads U alone, for a family whose V part vanishes); r enters only as the
-    column scales that return the assignments in c = r^weight c_normalized."""
-    unknowns = rows.coefficients
-    a2 = None if ratio is None else ratio * r * r
+def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
+    """The degree-n family with K terms ``kterms`` at small radius r, solved
+    on the integer rows num U + den V of its unknowns normalized by r^-weight
+    at rho = num / den: a2 / r^2 if ``a2`` is given, else the root of the top
+    row (the constraint).  Where the top row vanishes identically the family
+    is read from U alone, which needs its V part to vanish: it is then
+    critical at every ratio.  r enters only as the column scales that return
+    the assignments in c = r^weight c_normalized."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    rows = ResidualRows.of(family_lagrangian(n, kterms))
+    constraint = None
+    if a2 is not None:
+        a2 = Fraction(a2)
+        if a2 <= r * r:
+            raise ValueError("need a^2 > r^2")
+        ratio = a2 / (r * r)
+    else:
+        ratio = constraint = _constraint(rows, n)
+        if ratio is None and any(map(any, rows.v)):
+            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
+        a2 = None if ratio is None else ratio * r * r
     order = _pivot_order(n, len(kterms))
     # no known coefficient, so the constant column is zero, and so is every
     # assignment's constant
     solution = solve_rows(
-        [row + [0] for row in rows.at_ratio(ratio)], unknowns, order, [r**w for w in rows.weights]
+        [row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order, [r**w for w in rows.weights]
     )
 
     delta = None
@@ -251,7 +260,7 @@ def _solve_family(
         a2=a2,
         constraint=constraint,
         kterms=kterms,
-        unknowns=unknowns,
+        unknowns=rows.coefficients,
         free_parameters=solution.free,
         assignments=solution.assignments,
         delta=delta,
@@ -270,18 +279,7 @@ def solve_pure_h(n: int, r) -> SolutionReport:
     """
     if n < 1:
         raise ValueError("polynomial degree must be >= 1")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    rows = ResidualRows.of(family_lagrangian(n))
-    if n == 1:
-        if any(any(row) for row in rows.v):
-            raise AssertionError("degree-1 family unexpectedly depends on the radii")
-        return _solve_family(1, (), rows, r, None, None)
-    ratio = _constraint(rows, n)
-    if ratio is None:
-        raise AssertionError(f"degree {n} >= 2 must force a radius constraint")
-    return _solve_family(n, (), rows, r, ratio, ratio)
+    return _solve(n, (), r, None)
 
 
 def solve_with_gauss(
@@ -299,22 +297,10 @@ def solve_with_gauss(
     """
     if n < 2:
         raise ValueError("K-augmented families need degree >= 2")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
     terms = tuple(kterms) if kterms is not None else default_kterms(n)
     if not terms:
         raise ValueError("term set must be nonempty; use solve_pure_h instead")
-    rows = ResidualRows.of(family_lagrangian(n, terms))
-    if a2 is not None:
-        a2 = Fraction(a2)
-        if a2 <= r * r:
-            raise ValueError("need a^2 > r^2")
-        return _solve_family(n, terms, rows, r, a2 / (r * r), None)
-    ratio = _constraint(rows, n)
-    if ratio is None:
-        raise ValueError("top row vanishes identically; provide a2 explicitly")
-    return _solve_family(n, terms, rows, r, ratio, ratio)
+    return _solve(n, terms, r, a2)
 
 
 def verify_solution(

@@ -4,9 +4,11 @@ All integrals here are periodic-trapezoid quadratures in u (times the exact
 2 pi of the symmetry direction), which converge spectrally for the smooth
 periodic integrands on the torus; the default 256-point grid leaves errors
 far below the tolerances asserted anywhere in the test suite.  Each call
-samples its torus once per grid (:class:`torusvar.torus_geometry.SampledTorus`)
-and differences each field once.  The reduced volume is closed-form:
-``torus_geometry.area_volume(t).reduced_volume``.
+samples its torus once, on the one grid it is given
+(:class:`torusvar.torus_geometry.SampledTorus`), and differences each field
+once; a self-convergence check repeats the call at grid/2, as the CLI's
+``energy`` and ``second-variation`` commands do.  The reduced volume is
+closed-form: ``torus_geometry.area_volume(t).reduced_volume``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Split of F = (area term) - p * (volume): both pieces plus the total,
-    with the quadrature grid size and a self-convergence error estimate.
+    """Split of F = (area term) - p * (volume): both pieces plus the total.
 
     p is the inside-minus-outside pressure, the multiplier of -V that the
     shape equation and the solved families use; ``pressure_term`` is -p V.
@@ -48,8 +49,6 @@ class EnergyReport:
     area_term: float
     pressure_term: float
     total: float
-    grid_n: int
-    quadrature_error: float
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,8 @@ def curvature_energy(
     p is the inside-minus-outside pressure, so a solved family member's own
     pressure makes ``total`` stationary in the radii.
     """
-
-    def area_term(m: int) -> float:
-        s = SampledTorus(t, m)
-        return s.area_integral(lagrangian.eval_at(s))
-
-    area = area_term(n)
-    coarse = area_term(n // 2)
+    s = SampledTorus(t, n)
+    area = s.area_integral(lagrangian.eval_at(s))
     volume = 2.0 * math.pi**2 * t.a * t.r**2
     # 0.0 - pV rather than -pV, so that p = 0 gives +0.0 and not -0.0
     pressure_term = 0.0 - float(pressure) * volume
@@ -118,8 +112,6 @@ def curvature_energy(
         area_term=area,
         pressure_term=pressure_term,
         total=area + pressure_term,
-        grid_n=n,
-        quadrature_error=abs(area - coarse),
     )
 
 

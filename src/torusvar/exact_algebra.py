@@ -86,10 +86,10 @@ class HPoly:
         return HPoly(())
 
     @staticmethod
-    def monomial(power: int, coeff=1) -> "HPoly":
+    def monomial(power: int) -> "HPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return HPoly.of([0] * power + [coeff])
+        return HPoly.of([0] * power + [1])
 
     @property
     def degree(self) -> int:
@@ -134,8 +134,8 @@ class LinearForm:
         object.__setattr__(self, "constant", _as_fraction(self.constant))
 
     @staticmethod
-    def variable(name: str, coeff=1) -> "LinearForm":
-        return LinearForm({name: _as_fraction(coeff)})
+    def variable(name: str) -> "LinearForm":
+        return LinearForm({name: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -167,16 +167,13 @@ class LinearSolution:
     ``assignments`` maps every unknown to a LinearForm over the free unknowns
     (a free unknown maps to itself); resubstitution into the original rows
     yields exact zeros.  ``consistent`` is False when some row reduced to
-    ``nonzero constant == 0``; the indices of those rows (in the caller's
-    ordering) are reported.
+    ``nonzero constant == 0``.
     """
 
-    unknowns: tuple[str, ...]
     assignments: dict[str, LinearForm]
     free: tuple[str, ...]
     pivot_unknowns: tuple[str, ...]
     consistent: bool
-    offending_rows: tuple[int, ...] = ()
 
 
 def _cleared(vec: Sequence) -> list[int]:
@@ -198,16 +195,15 @@ def solve_rows(
     """Solve ``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, exactly.
 
     A row holds rationals (ints or Fractions), one per unknown and the
-    constant last; ``offending_rows`` indexes ``rows``.  Columns are offered
-    as pivots in ``pivot_order``, so unknowns late in it stay free whenever
-    the rank allows.  With ``scales``, column l multiplies
-    ``unknowns[l] / scales[l]`` instead, and the assignments are returned in
-    the unknowns themselves.
+    constant last.  Columns are offered as pivots in ``pivot_order``, so
+    unknowns late in it stay free whenever the rank allows.  With
+    ``scales``, column l multiplies ``unknowns[l] / scales[l]`` instead, and
+    the assignments are returned in the unknowns themselves.
 
     Everything runs on coprime integer rows.  Forward elimination is sparse:
     a pivot updates only the rows with a nonzero entry in its column, each
     by one cross-multiplication and a division by its content, so zero
-    patterns, pivots and offending rows are those of any Gaussian
+    patterns, pivots and consistency are those of any Gaussian
     elimination with the same pivot choice.  Back substitution clears each
     pivot row of the later pivot columns the same way, and each coefficient
     of an assignment is one Fraction built from the reduced integers.
@@ -218,25 +214,24 @@ def solve_rows(
     order = [*(pivot_order or ()), *unknowns]
     col_of = {u: i for i, u in enumerate(unknowns)}
 
-    remaining = [(idx, _cleared(vec)) for idx, vec in enumerate(rows) if any(vec)]
+    remaining = [_cleared(vec) for vec in rows if any(vec)]
     pivots: list[tuple[list[int], int]] = []
     for u in order:
         c = col_of[u]
-        sel = next((i for i, (_, vec) in enumerate(remaining) if vec[c]), None)
+        sel = next((i for i, vec in enumerate(remaining) if vec[c]), None)
         if sel is None:
             continue
-        _, pvec = remaining.pop(sel)
+        pvec = remaining.pop(sel)
         pivots.append((pvec, c))
         updated = []
-        for idx, vec in remaining:
+        for vec in remaining:
             if vec[c]:
                 vec = _eliminated(vec, pvec, c)
                 if not any(vec):
                     continue
-            updated.append((idx, vec))
+            updated.append(vec)
         remaining = updated
 
-    offending = tuple(idx for idx, vec in remaining if vec[-1])
     pivot_cols = {c for _, c in pivots}
     free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
 
@@ -264,12 +259,11 @@ def solve_rows(
         forms[unknowns[c]] = LinearForm(terms, Fraction(num * pvec[-1], den))
 
     return LinearSolution(
-        unknowns=tuple(unknowns),
         assignments={u: forms[u] for u in unknowns},
         free=tuple(unknowns[l] for l in free_cols),
         pivot_unknowns=tuple(unknowns[c] for _, c in pivots),
-        consistent=not offending,
-        offending_rows=offending,
+        # every unknown was offered, so a row left over is zero but for its constant
+        consistent=not remaining,
     )
 
 

@@ -300,16 +300,10 @@ def ref_max_residual(numeric):
 
 
 def ref_curvature_energy(t, lagrangian, pressure, n):
-    """(area term, pressure term, quadrature error)."""
-
-    def area_term(m):
-        h, k = ref_curvatures(t, ref_nodes(m))
-        return ref_area_integral(t, ref_eval(lagrangian, h, k), m)
-
-    area = area_term(n)
-    coarse = area_term(n // 2)
+    """(area term, pressure term)."""
+    h, k = ref_curvatures(t, ref_nodes(n))
     volume = 2.0 * math.pi**2 * t.a * t.r**2
-    return area, 0.0 - float(pressure) * volume, abs(area - coarse)
+    return ref_area_integral(t, ref_eval(lagrangian, h, k), n), 0.0 - float(pressure) * volume
 
 
 def ref_second_variation(t, lagrangian, pressure, omega, n, v_mode=0):

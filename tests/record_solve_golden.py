@@ -13,7 +13,8 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "solve_golden"
 
 # the README's solve examples first, then the degenerate radii of the
-# degree-4 and degree-5 K-families and one more --terms family
+# degree-4 and degree-5 K-families, one more --terms family and the degree-1
+# family, which is critical at every ratio
 CASES = (
     "solve --degree 3 --r 1",
     "solve --degree 4 --with-gauss --a2 3 --r 1",
@@ -22,6 +23,7 @@ CASES = (
     "solve --degree 4 --with-gauss --a2 6/5 --r 1",
     "solve --degree 5 --with-gauss --a2 6/5 --r 1",
     "solve --degree 5 --with-gauss --terms K2,HK,H3K --a2 5/2 --r 3/2",
+    "solve --degree 1 --r 3/2",
 )
 
 

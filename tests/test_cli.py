@@ -241,7 +241,6 @@ def test_bad_modes_name_the_token_and_the_form(capsys, modes):
         (["second-variation", "--degree", "2", "--grid", "32"], 0, None),
         # above MAX_GRID: no minimum is named, the cap is
         (["identities", "--a2", "2", "--r", "1", "--grid", "131072"], 4, None),
-        (["solve", "--degree", "3", "--grid", "131072"], 4, None),
         (["energy", "--degree", "2", "--ratio", "2", "--grid", "65536"], 0, None),
     ],
 )
@@ -256,6 +255,14 @@ def test_grid_is_validated_at_the_cli_boundary(capsys, argv, code, minimum):
     else:
         assert captured.out == ""
         assert f"--grid must be an even integer >= {minimum}" in captured.err
+
+
+def test_solve_takes_no_grid(capsys):
+    # solve samples no grid, so --grid is not one of its options
+    assert main(["solve", "--degree", "3", "--r", "1", "--grid", "64"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "torusvar: error: unrecognized arguments: --grid 64\n"
 
 
 def test_json_report_round_trips_and_reverifies(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_the_exact_path_loads_no_numeric_module():
     solves = [argv for argv in _readme_commands() if argv[0] == "solve"]
     assert len(solves) == 3
     rejected = [
-        ["solve", "--degree", "3", "--grid", "131072"],
+        ["solve", "--degree", "3", "--r", "1", "--grid", "64"],
         ["identities", "--a2", "2", "--r", "1", "--grid", "131072"],
         ["solve", "--degree", "512"],
     ]
@@ -67,9 +67,10 @@ def test_the_exact_path_loads_no_numeric_module():
     for step in report:
         assert step["loaded"] == [], step["step"]
     assert [step["code"] for step in report[1:]] == [0] * 8 + [4] * 3
-    # the --grid cap is checked, with its message, before numpy is needed
-    for step in report[-3:-1]:
-        assert step["err"] == "torusvar: error: --grid must be at most 65536, got 131072\n"
+    # a --grid that solve does not take, and the --grid cap, are rejected
+    # with their messages before numpy is needed
+    assert report[-3]["err"] == "torusvar: error: unrecognized arguments: --grid 64\n"
+    assert report[-2]["err"] == "torusvar: error: --grid must be at most 65536, got 131072\n"
 
 
 @pytest.mark.parametrize(

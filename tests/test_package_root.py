@@ -2,6 +2,7 @@
 and is imported from, its own module."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -105,16 +106,21 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
-    # the same rule one level down: each public method, property or static
-    # method is read as an attribute somewhere in the programs; dunder
-    # operators and names that two classes share are out of its reach
-    used = {
+def _attributes() -> set[str]:
+    """Every name the programs read or write as an attribute."""
+    return {
         node.attr
         for path in _programs()
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
     }
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
+    # the same rule one level down: each public method, property or static
+    # method is read as an attribute somewhere in the programs; dunder
+    # operators and names that two classes share are out of its reach
+    used = _attributes()
     members = (property, staticmethod, classmethod)
     unused = [
         f"{name}.{member}"
@@ -124,5 +130,19 @@ def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests
         if not member.startswith("_")
         and (inspect.isfunction(value) or isinstance(value, members))
         and member not in used
+    ]
+    assert unused == []
+
+
+def test_every_field_of_an_exported_dataclass_has_a_caller_outside_the_tests():
+    # and for data: each field is read as an attribute somewhere in the
+    # programs; a field whose name another attribute shares is out of reach
+    used = _attributes()
+    unused = [
+        f"{module}.{name}.{f.name}"
+        for module, name, cls in _exports()
+        if dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+        if f.name not in used
     ]
     assert unused == []

@@ -16,7 +16,7 @@ from oracles import (
     ref_max_residual,
     ref_second_variation,
 )
-from torusvar import cli, critical_solver, shape_equation
+from torusvar import cli, critical_solver, energetics, shape_equation
 from torusvar.critical_solver import solve_pure_h, solve_with_gauss, theorem_kterms, verify_solution
 from torusvar.energetics import Perturbation, curvature_energy, second_variation, willmore_scan
 from torusvar.h_calculus import ExactTorus
@@ -65,10 +65,32 @@ def test_energy_and_area_match_the_reference(torus, n):
     for lagrangian in LAGRANGIANS[:3]:
         for pressure in (0.0, 1.5):
             report = curvature_energy(shape, lagrangian, pressure, n)
-            area, pressure_term, error = ref_curvature_energy(shape, lagrangian, pressure, n)
-            assert (report.area_term, report.pressure_term, report.quadrature_error) == (area, pressure_term, error)
+            assert (report.area_term, report.pressure_term) == ref_curvature_energy(shape, lagrangian, pressure, n)
     av = area_volume(shape, n)
     assert (av.area_quadrature, av.volume_quadrature) == ref_area_volume(shape, n)
+
+
+def test_curvature_energy_samples_its_torus_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return SampledTorus(*args)
+
+    monkeypatch.setattr(energetics, "SampledTorus", counted)
+    curvature_energy(TorusShape(2.0, 1.0), LAGRANGIANS[1], 1.5, 256)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", (16, 64, 256, 2048))
+@pytest.mark.parametrize("degree, ratio", [(2, "3"), (3, "6/5"), (6, "9/4")])
+def test_energy_error_estimate_is_the_half_grid_change_of_the_reference(degree, ratio, n, capsys):
+    assert cli.main(["energy", "--degree", str(degree), "--ratio", ratio, "--r", "3/2", "--grid", str(n)]) == 0
+    text = capsys.readouterr().out
+    lagrangian, _, rho = cli._family_member(degree, Fraction(3, 2), Fraction(ratio))
+    shape = TorusShape.from_ratio(rho, Fraction(3, 2))
+    change = abs(ref_curvature_energy(shape, lagrangian, 0.0, n)[0] - ref_curvature_energy(shape, lagrangian, 0.0, n // 2)[0])
+    assert f"grid: {n}\nquadrature error estimate: {change:.15g}\n" in text
 
 
 @pytest.mark.parametrize("n", GRIDS)
