@@ -13,6 +13,11 @@ after which the rest solves as an exact parametrized family.  Adding Gaussian
 curvature terms K^m H^k (m >= 1) contributes extra unknowns that remove the
 ratio constraint; those solves run at fixed radii.
 
+Nothing in a family's rows depends on r, and without given radii neither
+does the ratio, so each family's rows are built once per process and, where
+its top row fixes the ratio, reduced once; a solve at a new radius then only
+rescales the reduced integers (see :class:`torusvar.exact_algebra.ReducedRows`).
+
 Free parameters are chosen deterministically: pivots are preferred in the
 order (p, K-term coefficients from highest index down, the constant
 coefficient a_{n+1}, then a2, a3, ...), so a1 is always left free when the
@@ -24,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from . import shape_equation
-from .exact_algebra import LinearForm, solve_rows
+from .exact_algebra import LinearForm, ReducedRows, reduce_rows
 from .h_calculus import DEFAULT_GRID, ExactTorus
 from .shape_equation import Lagrangian, ResidualRows, el_residual
 
@@ -143,7 +149,8 @@ class SolutionReport:
         """Instantiate the family at concrete free-parameter values."""
         values = {name: Fraction(v) for name, v in free_values.items()}
         resolved = {name: form.evaluate(values) for name, form in self.assignments.items()}
-        return family_lagrangian(self.degree, self.kterms).substitute(resolved)
+        # substitute builds a new Lagrangian, so the family's shared one stays as it is
+        return _family(self.degree, self.kterms).lagrangian.substitute(resolved)
 
     def exact_torus(self) -> ExactTorus:
         if self.a2 is None:
@@ -204,6 +211,42 @@ def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
     return ratio
 
 
+# families whose residual rows (and, where the top row fixes the ratio,
+# reduction) are kept; exact-families solves 35 distinct ones
+FAMILY_MEMO_SIZE = 64
+
+
+class _Family:
+    """The radius-free parts of a degree-n family with K terms ``kterms``:
+    its Lagrangian, residual rows and pivot order, and, on first use, its
+    rows reduced at the ratio its top row fixes."""
+
+    def __init__(self, n: int, kterms: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.lagrangian = family_lagrangian(n, kterms)
+        self.rows = ResidualRows.of(self.lagrangian)
+        self.order = _pivot_order(n, len(kterms))
+
+    def reduced(self, ratio: Fraction | None) -> ReducedRows:
+        # no known coefficient, so the constant column is zero, and so is every
+        # assignment's constant
+        rows = [row + [0] for row in self.rows.at_ratio(ratio)]
+        return reduce_rows(rows, self.rows.coefficients, self.order)
+
+    @cached_property
+    def constrained(self) -> tuple[Fraction | None, ReducedRows]:
+        """The ratio the top row fixes (None where it vanishes identically)
+        and the rows reduced there.  A family whose top row fixes no ratio
+        raises every time, since a property that raises keeps nothing."""
+        ratio = _constraint(self.rows, self.n)
+        if ratio is None and any(map(any, self.rows.v)):
+            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
+        return ratio, self.reduced(ratio)
+
+
+_family = lru_cache(maxsize=FAMILY_MEMO_SIZE)(_Family)
+
+
 def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
     """The degree-n family with K terms ``kterms`` at small radius r, solved
     on the integer rows num U + den V of its unknowns normalized by r^-weight
@@ -211,28 +254,23 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     row (the constraint).  Where the top row vanishes identically the family
     is read from U alone, which needs its V part to vanish: it is then
     critical at every ratio.  r enters only as the column scales that return
-    the assignments in c = r^weight c_normalized."""
+    the assignments in c = r^weight c_normalized, so without ``a2`` the
+    reduction is the family's own and only the scales are new."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    rows = ResidualRows.of(family_lagrangian(n, kterms))
+    family = _family(n, kterms)
+    rows, order = family.rows, family.order
     constraint = None
     if a2 is not None:
         a2 = Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
-        ratio = a2 / (r * r)
+        reduced = family.reduced(a2 / (r * r))
     else:
-        ratio = constraint = _constraint(rows, n)
-        if ratio is None and any(map(any, rows.v)):
-            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
-        a2 = None if ratio is None else ratio * r * r
-    order = _pivot_order(n, len(kterms))
-    # no known coefficient, so the constant column is zero, and so is every
-    # assignment's constant
-    solution = solve_rows(
-        [row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order, [r**w for w in rows.weights]
-    )
+        constraint, reduced = family.constrained
+        a2 = None if constraint is None else constraint * r * r
+    solution = reduced.solution([r**w for w in rows.weights])
 
     delta = None
     degeneracy = None
@@ -297,7 +335,7 @@ def solve_with_gauss(
     """
     if n < 2:
         raise ValueError("K-augmented families need degree >= 2")
-    terms = tuple(kterms) if kterms is not None else default_kterms(n)
+    terms = tuple((k, m) for k, m in kterms) if kterms is not None else default_kterms(n)
     if not terms:
         raise ValueError("term set must be nonempty; use solve_pure_h instead")
     return _solve(n, terms, r, a2)

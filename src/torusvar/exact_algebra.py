@@ -17,9 +17,12 @@ comparison here.  Three layers are provided.
   integers (sparse fraction-free elimination: a pivot touches only the rows
   with a nonzero entry in its column, and every row is kept coprime);
   ``solve_linear_system`` (``LinearForm`` rows, each read as
-  ``form == 0``) and the critical families both go through it.  A kernel
-  basis of homogeneous rows is the free-parameter coefficients of the
-  solved assignments.  The solved coefficients in the examples of interest
+  ``form == 0``) and the critical families both go through it.  It is two
+  steps: ``reduce_rows``, the integer reduction, and
+  ``ReducedRows.solution``, which builds the assignments under column
+  scales, so one reduction serves rows that differ only by their scales.
+  A kernel basis of homogeneous rows is the free-parameter coefficients of
+  the solved assignments.  The solved coefficients in the examples of interest
   reach seven-digit numerators, so keeping the integers small matters.
 """
 
@@ -34,6 +37,8 @@ __all__ = [
     "HPoly",
     "LinearForm",
     "LinearSolution",
+    "ReducedRows",
+    "reduce_rows",
     "solve_rows",
     "solve_linear_system",
     "parse_fraction",
@@ -200,15 +205,72 @@ def solve_rows(
     ``scales``, column l multiplies ``unknowns[l] / scales[l]`` instead, and
     the assignments are returned in the unknowns themselves.
 
-    Everything runs on coprime integer rows.  Forward elimination is sparse:
-    a pivot updates only the rows with a nonzero entry in its column, each
-    by one cross-multiplication and a division by its content, so zero
-    patterns, pivots and consistency are those of any Gaussian
-    elimination with the same pivot choice.  Back substitution clears each
-    pivot row of the later pivot columns the same way, and each coefficient
-    of an assignment is one Fraction built from the reduced integers.
+    The integer reduction (:func:`reduce_rows`) does not see the scales, so
+    rows that differ only by their scales reduce once and are read out by
+    :meth:`ReducedRows.solution` for each set of scales.
     """
-    unknowns = list(unknowns)
+    return reduce_rows(rows, unknowns, pivot_order).solution(scales)
+
+
+@dataclass(frozen=True)
+class ReducedRows:
+    """Coprime integer pivot rows, each cleared of every other pivot column.
+
+    ``reduced`` holds (row, pivot column) from the last pivot to the first;
+    ``pivot_columns`` are in the order the pivots were taken.
+    """
+
+    unknowns: tuple[str, ...]
+    reduced: tuple[tuple[tuple[int, ...], int], ...]
+    pivot_columns: tuple[int, ...]
+    consistent: bool
+
+    def solution(self, scales: Sequence[Fraction] | None = None) -> LinearSolution:
+        """The assignments of the reduced rows, column l multiplying
+        ``unknowns[l] / scales[l]``; each coefficient is one Fraction built
+        from the reduced integers."""
+        unknowns, pivot_cols = self.unknowns, set(self.pivot_columns)
+        free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
+        # scale l as an integer pair (num, den); the constant column has scale 1
+        ratios = [(1, 1)] * (len(unknowns) + 1)
+        if scales is not None:
+            ratios[:-1] = [(s.numerator, s.denominator) for s in map(Fraction, scales)]
+        forms = {unknowns[l]: LinearForm.variable(unknowns[l]) for l in free_cols}
+        for pvec, c in self.reduced:
+            # x_c = -(sum_l pvec[l] x_l s_c / s_l + pvec[-1] s_c) / pvec[c]
+            num, den = ratios[c]
+            num, den = -num, den * pvec[c]
+            terms = {
+                unknowns[l]: Fraction(num * pvec[l] * ratios[l][1], den * ratios[l][0])
+                for l in free_cols
+                if pvec[l]
+            }
+            forms[unknowns[c]] = LinearForm(terms, Fraction(num * pvec[-1], den))
+
+        return LinearSolution(
+            assignments={u: forms[u] for u in unknowns},
+            free=tuple(unknowns[l] for l in free_cols),
+            pivot_unknowns=tuple(unknowns[c] for c in self.pivot_columns),
+            consistent=self.consistent,
+        )
+
+
+def reduce_rows(
+    rows: Sequence[Sequence],
+    unknowns: Sequence[str],
+    pivot_order: Sequence[str] | None = None,
+) -> ReducedRows:
+    """The integer half of :func:`solve_rows`: its rows reduced to coprime
+    integer pivot rows in ``pivot_order``.
+
+    Forward elimination is sparse: a pivot updates only the rows with a
+    nonzero entry in its column, each by one cross-multiplication and a
+    division by its content, so zero patterns, pivots and consistency are
+    those of any Gaussian elimination with the same pivot choice.  Back
+    substitution clears each pivot row of the later pivot columns the same
+    way.
+    """
+    unknowns = tuple(unknowns)
     # every unknown is offered; a repeated offer finds no pivot, since after
     # the first one its column is zero in every remaining row
     order = [*(pivot_order or ()), *unknowns]
@@ -232,36 +294,17 @@ def solve_rows(
             updated.append(vec)
         remaining = updated
 
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
-
-    reduced: list[tuple[list[int], int]] = []
+    reduced: list[tuple[tuple[int, ...], int]] = []
     for pvec, c in reversed(pivots):
         for qvec, d in reduced:
             if pvec[d]:
                 pvec = _eliminated(pvec, qvec, d)
-        reduced.append((pvec, c))
+        reduced.append((tuple(pvec), c))
 
-    # scale l as an integer pair (num, den); the constant column has scale 1
-    ratios = [(1, 1)] * (len(unknowns) + 1)
-    if scales is not None:
-        ratios[:-1] = [(s.numerator, s.denominator) for s in map(Fraction, scales)]
-    forms = {unknowns[l]: LinearForm.variable(unknowns[l]) for l in free_cols}
-    for pvec, c in reduced:
-        # x_c = -(sum_l pvec[l] x_l s_c / s_l + pvec[-1] s_c) / pvec[c]
-        num, den = ratios[c]
-        num, den = -num, den * pvec[c]
-        terms = {
-            unknowns[l]: Fraction(num * pvec[l] * ratios[l][1], den * ratios[l][0])
-            for l in free_cols
-            if pvec[l]
-        }
-        forms[unknowns[c]] = LinearForm(terms, Fraction(num * pvec[-1], den))
-
-    return LinearSolution(
-        assignments={u: forms[u] for u in unknowns},
-        free=tuple(unknowns[l] for l in free_cols),
-        pivot_unknowns=tuple(unknowns[c] for _, c in pivots),
+    return ReducedRows(
+        unknowns=unknowns,
+        reduced=tuple(reduced),
+        pivot_columns=tuple(c for _, c in pivots),
         # every unknown was offered, so a row left over is zero but for its constant
         consistent=not remaining,
     )

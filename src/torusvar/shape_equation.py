@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Union
@@ -175,10 +176,18 @@ def helfrich_lagrangian(params: HelfrichParams) -> Lagrangian:
     )
 
 
-def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
+# monomials whose residual tables are kept; a degree-24 family uses fewer
+# than 200
+COLUMN_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=COLUMN_MEMO_SIZE)
+def residual_column(i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Residual of the single density E = H^i K^j at zero pressure, as an
     integer table (U, V) of :mod:`torusvar.h_calculus` of weight i + 2 j + 1:
     on a torus its coefficient of H^p is r^(p - i - 2 j - 1) (U_p + V_p / rho).
+    The table is the same on every torus, so it is built once per process
+    and shared, as tuples.
 
     lap and div_bar of a polynomial f(x) expand by the chain rule
     f' op(x) + f'' B(x), with B = |grad H|^2 for lap and the bilinear term
@@ -209,7 +218,7 @@ def residual_column(i: int, j: int) -> tuple[list[int], list[int]]:
         u, v = h_calculus.chain_rule(e, op, remainder)
         u_pairs += [*u, (e, algebraic)]
         v_pairs += v
-    return h_calculus.products_sum(u_pairs), h_calculus.products_sum(v_pairs)
+    return tuple(h_calculus.products_sum(u_pairs)), tuple(h_calculus.products_sum(v_pairs))
 
 
 @dataclass(frozen=True)
@@ -233,10 +242,10 @@ class ResidualRows:
     @staticmethod
     def of(lagrangian: Lagrangian) -> "ResidualRows":
         columns = [residual_column(i, j) for i, j in lagrangian.terms]
-        columns.append(([2], []))
+        columns.append(((2,), ()))
         size = max(len(part) for column in columns for part in column)
         u, v = (
-            tuple(zip(*(part + [0] * (size - len(part)) for part in parts)))
+            tuple(zip(*(part + (0,) * (size - len(part)) for part in parts)))
             for parts in zip(*columns)
         )
         weights = [i + 2 * j - 2 for i, j in lagrangian.terms] + [-3]
