@@ -195,21 +195,14 @@ def solve_rows(
     rows: Sequence[Sequence],
     unknowns: Sequence[str],
     pivot_order: Sequence[str] | None = None,
-    scales: Sequence[Fraction] | None = None,
 ) -> LinearSolution:
     """Solve ``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, exactly.
 
     A row holds rationals (ints or Fractions), one per unknown and the
     constant last.  Columns are offered as pivots in ``pivot_order``, so
-    unknowns late in it stay free whenever the rank allows.  With
-    ``scales``, column l multiplies ``unknowns[l] / scales[l]`` instead, and
-    the assignments are returned in the unknowns themselves.
-
-    The integer reduction (:func:`reduce_rows`) does not see the scales, so
-    rows that differ only by their scales reduce once and are read out by
-    :meth:`ReducedRows.solution` for each set of scales.
+    unknowns late in it stay free whenever the rank allows.
     """
-    return reduce_rows(rows, unknowns, pivot_order).solution(scales)
+    return reduce_rows(rows, unknowns, pivot_order).solution()
 
 
 @dataclass(frozen=True)
