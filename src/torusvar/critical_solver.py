@@ -13,10 +13,10 @@ after which the rest solves as an exact parametrized family.  Adding Gaussian
 curvature terms K^m H^k (m >= 1) contributes extra unknowns that remove the
 ratio constraint; those solves run at fixed radii.
 
-Nothing in a family's rows depends on r, and without given radii neither
-does the ratio, so each family's rows are built once per process and, where
-its top row fixes the ratio, reduced once; a solve at a new radius then only
-rescales the reduced integers (see :class:`torusvar.exact_algebra.ReducedRows`).
+Nothing in a family's rows depends on r, so each family's rows are built
+once per process and reduced once per ratio a^2/r^2; a solve at a new radius
+and the same ratio then only rescales the reduced integers (see
+:class:`torusvar.exact_algebra.ReducedRows`).
 
 Free parameters are chosen deterministically: pivots are preferred in the
 order (p, K-term coefficients from highest index down, the constant
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import shape_equation
@@ -97,9 +97,9 @@ def family_lagrangian(
     return Lagrangian(terms, pressure=PRESSURE)
 
 
-def _pivot_order(n: int, n_kterms: int) -> list[str]:
+def _pivot_order(n: int, n_kterms: int) -> tuple[str, ...]:
     kco = [f"a{n + 1 + i}" for i in range(n_kterms, 0, -1)]
-    return [PRESSURE] + kco + [f"a{n + 1}"] + [f"a{i}" for i in range(2, n + 1)] + ["a1"]
+    return (PRESSURE, *kco, f"a{n + 1}", *(f"a{i}" for i in range(2, n + 1)), "a1")
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class SolutionReport:
         values = {name: Fraction(v) for name, v in free_values.items()}
         resolved = {name: form.evaluate(values) for name, form in self.assignments.items()}
         # substitute builds a new Lagrangian, so the family's shared one stays as it is
-        return _family(self.degree, self.kterms).lagrangian.substitute(resolved)
+        return _family(self.degree, self.kterms)[0].substitute(resolved)
 
     def exact_torus(self) -> ExactTorus:
         if self.a2 is None:
@@ -211,40 +211,26 @@ def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
     return ratio
 
 
-# families whose residual rows (and, where the top row fixes the ratio,
-# reduction) are kept; exact-families solves 35 distinct ones
+# families, and (family, ratio) reductions, that are kept; an exact-families
+# pass uses 35 distinct families and 40 distinct reductions
 FAMILY_MEMO_SIZE = 64
 
 
-class _Family:
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _family(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Lagrangian, ResidualRows, tuple[str, ...]]:
     """The radius-free parts of a degree-n family with K terms ``kterms``:
-    its Lagrangian, residual rows and pivot order, and, on first use, its
-    rows reduced at the ratio its top row fixes."""
-
-    def __init__(self, n: int, kterms: tuple[tuple[int, int], ...]):
-        self.n = n
-        self.lagrangian = family_lagrangian(n, kterms)
-        self.rows = ResidualRows.of(self.lagrangian)
-        self.order = _pivot_order(n, len(kterms))
-
-    def reduced(self, ratio: Fraction | None) -> ReducedRows:
-        # no known coefficient, so the constant column is zero, and so is every
-        # assignment's constant
-        rows = [row + [0] for row in self.rows.at_ratio(ratio)]
-        return reduce_rows(rows, self.rows.coefficients, self.order)
-
-    @cached_property
-    def constrained(self) -> tuple[Fraction | None, ReducedRows]:
-        """The ratio the top row fixes (None where it vanishes identically)
-        and the rows reduced there.  A family whose top row fixes no ratio
-        raises every time, since a property that raises keeps nothing."""
-        ratio = _constraint(self.rows, self.n)
-        if ratio is None and any(map(any, self.rows.v)):
-            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
-        return ratio, self.reduced(ratio)
+    its Lagrangian, residual rows and pivot order."""
+    lagrangian = family_lagrangian(n, kterms)
+    return lagrangian, ResidualRows.of(lagrangian), _pivot_order(n, len(kterms))
 
 
-_family = lru_cache(maxsize=FAMILY_MEMO_SIZE)(_Family)
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _reduced(n: int, kterms: tuple[tuple[int, int], ...], ratio: Fraction | None) -> ReducedRows:
+    """The family's rows reduced at rho = ``ratio``; None reads U alone."""
+    _, rows, order = _family(n, kterms)
+    # no known coefficient, so the constant column is zero, and so is every
+    # assignment's constant
+    return reduce_rows([row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order)
 
 
 def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
@@ -254,42 +240,41 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     row (the constraint).  Where the top row vanishes identically the family
     is read from U alone, which needs its V part to vanish: it is then
     critical at every ratio.  r enters only as the column scales that return
-    the assignments in c = r^weight c_normalized, so without ``a2`` the
-    reduction is the family's own and only the scales are new."""
+    the assignments in c = r^weight c_normalized, so the reduction is kept
+    per (family, ratio) and a new radius at the same ratio only rescales it."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    family = _family(n, kterms)
-    rows, order = family.rows, family.order
+    _, rows, _ = _family(n, kterms)
     constraint = None
     if a2 is not None:
         a2 = Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
-        reduced = family.reduced(a2 / (r * r))
+        ratio = a2 / (r * r)
     else:
-        constraint, reduced = family.constrained
-        a2 = None if constraint is None else constraint * r * r
-    solution = reduced.solution([r**w for w in rows.weights])
+        ratio = constraint = _constraint(rows, n)
+        if ratio is None and any(map(any, rows.v)):
+            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
+        a2 = None if ratio is None else ratio * r * r
+    solution = _reduced(n, kterms, ratio).solution([r**w for w in rows.weights])
 
     delta = None
     degeneracy = None
     info = delta_radii_polynomial(n, a2, r * r) if kterms else None
     if info is not None:
         delta, vanished = info
-        generic_bound = set(order[: len(solution.pivot_unknowns)])
-        actual_bound = set(solution.pivot_unknowns)
-        notes = []
-        if vanished:
-            notes.append("radii polynomial vanishes: " + ", ".join(vanished))
-        if actual_bound != generic_bound:
-            swapped_in = sorted(actual_bound - generic_bound)
-            swapped_out = sorted(generic_bound - actual_bound)
-            notes.append(
-                "generic parametrization degenerates: "
-                f"{', '.join(swapped_out)} left free, {', '.join(swapped_in)} bound instead"
-            )
-        if vanished or actual_bound != generic_bound:
+        notes = ["radii polynomial vanishes: " + ", ".join(vanished)] if vanished else []
+        # at a constraint ratio the rank drops by design, so only given radii
+        # are compared with the pivots at a ratio above every degenerate one
+        if constraint is None:
+            generic = {rows.coefficients[c] for c in _reduced(n, kterms, rows.generic_ratio).pivot_columns}
+            actual = set(solution.pivot_unknowns)
+            sides = ((generic - actual, "left free"), (actual - generic, "bound instead"))
+            swaps = [f"{', '.join(sorted(names))} {what}" for names, what in sides if names]
+            if swaps:
+                notes.append("generic parametrization degenerates: " + ", ".join(swaps))
+        if notes:
             degeneracy = DegeneracyInfo(vanished=vanished, note="; ".join(notes))
 
     return SolutionReport(

@@ -13,14 +13,13 @@ comparison here.  Three layers are provided.
 * ``LinearForm`` -- a sparse linear expression ``sum_i c_i * x_i + const``
   over named unknowns: the rows of a residual system and the solved
   assignments, read by coefficient or evaluated at given values.
-* ``solve_rows`` -- exact solving of rational row vectors, entirely in
+* ``reduce_rows`` -- exact solving of rational row vectors, entirely in
   integers (sparse fraction-free elimination: a pivot touches only the rows
-  with a nonzero entry in its column, and every row is kept coprime);
-  ``solve_linear_system`` (``LinearForm`` rows, each read as
-  ``form == 0``) and the critical families both go through it.  It is two
-  steps: ``reduce_rows``, the integer reduction, and
-  ``ReducedRows.solution``, which builds the assignments under column
+  with a nonzero entry in its column, and every row is kept coprime), to a
+  ``ReducedRows`` whose ``solution`` builds the assignments under column
   scales, so one reduction serves rows that differ only by their scales.
+  ``solve_linear_system`` (``LinearForm`` rows, each read as ``form == 0``)
+  and the critical families both go through it.
   A kernel basis of homogeneous rows is the free-parameter coefficients of
   the solved assignments.  The solved coefficients in the examples of interest
   reach seven-digit numerators, so keeping the integers small matters.
@@ -39,7 +38,6 @@ __all__ = [
     "LinearSolution",
     "ReducedRows",
     "reduce_rows",
-    "solve_rows",
     "solve_linear_system",
     "parse_fraction",
     "format_fraction",
@@ -191,20 +189,6 @@ def _cleared(vec: Sequence) -> list[int]:
     return vec if common == 1 else [v // common for v in vec]
 
 
-def solve_rows(
-    rows: Sequence[Sequence],
-    unknowns: Sequence[str],
-    pivot_order: Sequence[str] | None = None,
-) -> LinearSolution:
-    """Solve ``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, exactly.
-
-    A row holds rationals (ints or Fractions), one per unknown and the
-    constant last.  Columns are offered as pivots in ``pivot_order``, so
-    unknowns late in it stay free whenever the rank allows.
-    """
-    return reduce_rows(rows, unknowns, pivot_order).solution()
-
-
 @dataclass(frozen=True)
 class ReducedRows:
     """Coprime integer pivot rows, each cleared of every other pivot column.
@@ -253,8 +237,12 @@ def reduce_rows(
     unknowns: Sequence[str],
     pivot_order: Sequence[str] | None = None,
 ) -> ReducedRows:
-    """The integer half of :func:`solve_rows`: its rows reduced to coprime
-    integer pivot rows in ``pivot_order``.
+    """``sum_l row[l] * unknowns[l] + row[-1] == 0`` for every row, reduced to
+    coprime integer pivot rows.
+
+    A row holds rationals (ints or Fractions), one per unknown and the
+    constant last.  Columns are offered as pivots in ``pivot_order``, so
+    unknowns late in it stay free whenever the rank allows.
 
     Forward elimination is sparse: a pivot updates only the rows with a
     nonzero entry in its column, each by one cross-multiplication and a
@@ -321,6 +309,6 @@ def solve_linear_system(
     unknowns: Sequence[str],
     pivot_order: Sequence[str] | None = None,
 ) -> LinearSolution:
-    """Solve ``row == 0`` for every LinearForm row exactly, by :func:`solve_rows`."""
+    """Solve ``row == 0`` for every LinearForm row exactly, by :func:`reduce_rows`."""
     vectors = [[form.coefficient(u) for u in unknowns] + [form.constant] for form in rows]
-    return solve_rows(vectors, unknowns, pivot_order)
+    return reduce_rows(vectors, unknowns, pivot_order).solution()

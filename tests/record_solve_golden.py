@@ -6,15 +6,21 @@ and change only with an intended, versioned format change.  Run from the
 repository root, with the sources to record from on the path:
 
     PYTHONPATH=src python tests/record_solve_golden.py
+
+It writes only the files that are missing.  If the output of a recorded file
+would change, it leaves the file as it is, names it and exits non-zero.
 """
 
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "solve_golden"
 
 # the README's solve examples first, then the degenerate radii of the
 # degree-4 and degree-5 K-families, one more --terms family and the degree-1
-# family, which is critical at every ratio
+# family, which is critical at every ratio; last the degeneracy notes at
+# given radii: none at a generic ratio with the inert K, a pivot swap, and a
+# rank drop
 CASES = (
     "solve --degree 3 --r 1",
     "solve --degree 4 --with-gauss --a2 3 --r 1",
@@ -24,6 +30,9 @@ CASES = (
     "solve --degree 5 --with-gauss --a2 6/5 --r 1",
     "solve --degree 5 --with-gauss --terms K2,HK,H3K --a2 5/2 --r 3/2",
     "solve --degree 1 --r 3/2",
+    "solve --degree 4 --with-gauss --terms K,K2,HK,H2K --a2 3 --r 1",
+    "solve --degree 5 --with-gauss --terms HK,H2K --a2 3 --r 1",
+    "solve --degree 4 --with-gauss --terms K --a2 2 --r 1",
 )
 
 
@@ -37,11 +46,21 @@ def main() -> None:
     from torusvar.cli import main as cli_main
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        for fmt in ("text", "json"):
-            code = cli_main([*case.split(), "--format", fmt, "--out", str(path(case, fmt))])
-            if code != 0:
-                raise SystemExit(f"{case} --format {fmt} exited {code}")
+    changed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for case in CASES:
+            for fmt in ("text", "json"):
+                code = cli_main([*case.split(), "--format", fmt, "--out", str(out)])
+                if code != 0:
+                    raise SystemExit(f"{case} --format {fmt} exited {code}")
+                target = path(case, fmt)
+                if not target.exists():
+                    target.write_bytes(out.read_bytes())
+                elif target.read_bytes() != out.read_bytes():
+                    changed.append(target.name)
+    if changed:
+        raise SystemExit("output changed, files left as they were: " + ", ".join(changed))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from torusvar.critical_solver import (
+    _pivot_order,
     default_kterms,
     delta_radii_polynomial,
     family_lagrangian,
@@ -16,7 +19,7 @@ from torusvar.exact_algebra import LinearForm, solve_linear_system
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import Lagrangian, el_system
 
-from oracles import constraint_ratio, substitute
+from oracles import constraint_ratio, gauss_jordan, monomial_residual, substitute
 
 
 def form(terms, const=0):
@@ -413,3 +416,54 @@ def test_report_instantiates_numeric_lagrangians():
     assert lag.terms[(3, 0)] == 1
     assert lag.terms[(2, 0)] == Fraction(15, 2)
     assert lag.pressure == 0  # a3 = 3 a1 / r^2 is the zero-pressure member
+
+
+NOTE_RATIOS = (Fraction(2), Fraction(6, 5), Fraction(3), Fraction(25, 8), Fraction(7, 2))
+# two large ratios unrelated to the rows, at which the pivots must agree
+FAR_RATIOS = (Fraction(10**9 + 7, 3), Fraction(10**12 + 39, 11))
+
+
+def _oracle_pivots(n, kterms, ratio):
+    """The pivot set at a^2/r^2 = ratio, r = 1, by Gauss-Jordan in the
+    package's pivot order on rows built from the oracle's monomial residuals."""
+    t = ExactTorus(ratio, 1)
+    lagrangian = family_lagrangian(n, kterms)
+    columns = [monomial_residual(t, i, j) for i, j in lagrangian.terms] + [(Fraction(2),)]
+    rows = [[c[p] if p < len(c) else 0 for c in columns] + [0] for p in range(max(map(len, columns)))]
+    pivots, *_ = gauss_jordan(rows, [*lagrangian.terms.values(), lagrangian.pressure], _pivot_order(n, len(kterms)))
+    return set(pivots)
+
+
+def _named(note, what):
+    """The unknowns a degeneracy note names as ``what``."""
+    found = re.search(rf"((?:a\d+|p)(?:, (?:a\d+|p))*) {what}", note)
+    return set(found.group(1).split(", ")) if found else set()
+
+
+def test_the_pivot_note_names_the_swaps_from_the_generic_pivots():
+    # every nonempty subset of the degree-4 and degree-5 theorem ladders, and
+    # the default sets, at given radii: the note names exactly the unknowns
+    # the oracle frees and binds against its pivots at unrelated large ratios
+    noted = {4: [], 5: []}
+    for n in (4, 5):
+        ladder = theorem_kterms(n)
+        subsets = [s for k in range(1, len(ladder) + 1) for s in combinations(ladder, k)]
+        for kterms in [*subsets, default_kterms(n)]:
+            generic, far = (_oracle_pivots(n, kterms, rho) for rho in FAR_RATIOS)
+            assert generic == far, (n, kterms)
+            for ratio in NOTE_RATIOS:
+                actual = _oracle_pivots(n, kterms, ratio)
+                report = solve_with_gauss(n, 1, kterms, ratio)
+                note = report.degeneracy.note if report.degeneracy else ""
+                case = (n, kterms, ratio)
+                assert ("generic parametrization degenerates" in note) == (actual != generic), case
+                assert _named(note, "left free") == generic - actual, case
+                assert _named(note, "bound instead") == actual - generic, case
+                if actual != generic and kterms in subsets and ratio > 2:
+                    noted[n].append((kterms, ratio))
+    # above a^2/r^2 = 2 no degree-4 subset swaps pivots; at degree 5 only the
+    # four subsets with HK and H2K, and neither K2 nor HK2, do, all at 3
+    assert noted[4] == []
+    assert len(noted[5]) == 4
+    for kterms, ratio in noted[5]:
+        assert ratio == 3 and {(1, 1), (2, 1)} <= set(kterms) and not {(0, 2), (1, 2)} & set(kterms)

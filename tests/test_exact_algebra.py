@@ -9,8 +9,8 @@ from torusvar.exact_algebra import (
     LinearForm,
     format_fraction,
     parse_fraction,
+    reduce_rows,
     solve_linear_system,
-    solve_rows,
 )
 from torusvar.shape_equation import ResidualRows
 
@@ -182,7 +182,7 @@ def test_fraction_parsing_and_formatting():
 
 
 def test_integer_rows_solve_like_linear_forms():
-    # solve_rows is the routine behind solve_linear_system; on the integer
+    # reduce_rows is the routine behind solve_linear_system; on the integer
     # vectors of the same equations, zero rows among them, it returns the
     # same solution, and every free unknown is assigned to itself
     rng = random.Random(41)
@@ -193,7 +193,7 @@ def test_integer_rows_solve_like_linear_forms():
         forms = [LinearForm(dict(zip(unknowns, vec[:-1])), vec[-1]) for vec in vectors]
         order = rng.sample(unknowns, 4)
         from_forms = solve_linear_system(forms, unknowns, order)
-        from_ints = solve_rows(vectors, unknowns, order)
+        from_ints = reduce_rows(vectors, unknowns, order).solution()
         assert from_ints == from_forms
         for name in from_ints.free:
             assert from_ints.assignments[name] == LinearForm.variable(name)
@@ -201,9 +201,9 @@ def test_integer_rows_solve_like_linear_forms():
 
 
 def _assert_solves_like_gauss_jordan(rows, unknowns, order=None):
-    """Compare solve_rows with the Gauss-Jordan oracle; returns the oracle's
+    """Compare reduce_rows with the Gauss-Jordan oracle; returns the oracle's
     free unknowns and assignments."""
-    solution = solve_rows(rows, unknowns, order)
+    solution = reduce_rows(rows, unknowns, order).solution()
     pivots, free, assignments, offending = gauss_jordan(rows, unknowns, order)
     assert list(solution.pivot_unknowns) == pivots
     assert list(solution.free) == free

@@ -1,7 +1,6 @@
 """The per-process memos of the exact path: the residual table of each
-monomial, and each family's rows and, where its top row fixes the ratio,
-its reduction.  A memo may change how fast a solve runs, never what it
-returns."""
+monomial, each family's rows, and each family's reduction at one ratio.  A
+memo may change how fast a solve runs, never what it returns."""
 
 import re
 from fractions import Fraction
@@ -33,6 +32,7 @@ K2_HK = ((0, 2), (1, 1))
 
 def clear_memos():
     critical_solver._family.cache_clear()
+    critical_solver._reduced.cache_clear()
     residual_column.cache_clear()
 
 
@@ -90,7 +90,7 @@ def test_editing_a_report_changes_no_later_solve(solve):
     assert again.free_parameters == free
     # instantiating members leaves the family's shared Lagrangian as it was
     assert again.lagrangian_at({f: Fraction(1) for f in free}) == member
-    shared = critical_solver._family(again.degree, again.kterms).lagrangian
+    shared, _, _ = critical_solver._family(again.degree, again.kterms)
     assert shared == family_lagrangian(again.degree, again.kterms)
     assert all(isinstance(c, str) for c in shared.terms.values())
 
@@ -130,6 +130,7 @@ def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built
 def test_the_family_memo_has_a_constant_bound():
     size = critical_solver.FAMILY_MEMO_SIZE
     assert type(size) is int and critical_solver._family.cache_info().maxsize == size
+    assert critical_solver._reduced.cache_info().maxsize == size
     assert type(shape_equation.COLUMN_MEMO_SIZE) is int
     assert residual_column.cache_info().maxsize == shape_equation.COLUMN_MEMO_SIZE
     # more distinct families than the bound leave the memo at the bound
@@ -139,6 +140,20 @@ def test_the_family_memo_has_a_constant_bound():
     for kterms in subsets[: size + 8]:
         solve_with_gauss(6, 1, kterms, 3)
     assert critical_solver._family.cache_info().currsize == size
+    assert critical_solver._reduced.cache_info().currsize == size
+
+
+def test_a_fixed_radii_family_at_a_known_ratio_is_not_reduced_again(capsys):
+    # the degree-4 default K-family at a^2/r^2 = 3: a second radius reads the
+    # reduction the first one kept, and prints what a fresh solve prints
+    clear_memos()
+    cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(1))
+    before = critical_solver._reduced.cache_info()
+    again = cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(3, 2))
+    after = critical_solver._reduced.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    clear_memos()
+    assert cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(3, 2)) == again
 
 
 def _weights(n, kterms):
