@@ -16,7 +16,10 @@ ratio constraint; those solves run at fixed radii.
 Nothing in a family's rows depends on r, so each family's rows are built
 once per process and reduced once per ratio a^2/r^2; a solve at a new radius
 and the same ratio then only rescales the reduced integers (see
-:class:`torusvar.exact_algebra.ReducedRows`).
+:class:`torusvar.exact_algebra.ReducedRows`).  A family solved at given radii
+is also reduced once over Z[rho] (:class:`torusvar.exact_algebra.PencilReduction`),
+so a new ratio is one integer substitution wherever its pivot polynomial
+does not vanish.
 
 Free parameters are chosen deterministically: pivots are preferred in the
 order (p, K-term coefficients from highest index down, the constant
@@ -33,7 +36,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import shape_equation
-from .exact_algebra import LinearForm, ReducedRows, reduce_rows
+from .exact_algebra import LinearForm, PencilReduction, ReducedRows, reduce_pencil, reduce_rows
 from .h_calculus import DEFAULT_GRID, ExactTorus
 from .shape_equation import Lagrangian, ResidualRows, el_residual
 
@@ -211,8 +214,9 @@ def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
     return ratio
 
 
-# families, and (family, ratio) reductions, that are kept; an exact-families
-# pass uses 35 distinct families and 40 distinct reductions
+# families, their reductions over Z[rho], and (family, ratio) reductions,
+# that are kept; an exact-families pass uses 35 distinct families, 12 of them
+# at given radii, and 40 distinct reductions
 FAMILY_MEMO_SIZE = 64
 
 
@@ -225,12 +229,24 @@ def _family(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Lagrangian, Re
 
 
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _reduced(n: int, kterms: tuple[tuple[int, int], ...], ratio: Fraction | None) -> ReducedRows:
-    """The family's rows reduced at rho = ``ratio``; None reads U alone."""
+def _pencil(n: int, kterms: tuple[tuple[int, int], ...]) -> PencilReduction:
+    """The family's rows rho U + V reduced over Z[rho]: its generic bound set,
+    and its pivot rows at every ratio off the roots of the pivot polynomial."""
     _, rows, order = _family(n, kterms)
+    return reduce_pencil(rows.u, rows.v, rows.coefficients, order)
+
+
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _reduced(n: int, kterms: tuple[tuple[int, int], ...], ratio: Fraction | None, given: bool) -> ReducedRows:
+    """The family's rows reduced at rho = ``ratio``; None reads U alone.  At
+    ``given`` radii the rows are read off the family's reduction over Z[rho]
+    wherever its pivot polynomial does not vanish; at a constraint ratio the
+    rank drops by design, so that reduction would not serve it."""
+    _, rows, order = _family(n, kterms)
+    reduced = _pencil(n, kterms).at(ratio) if given else None
     # no known coefficient, so the constant column is zero, and so is every
     # assignment's constant
-    return reduce_rows([row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order)
+    return reduced or reduce_rows([row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order)
 
 
 def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
@@ -241,13 +257,15 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     is read from U alone, which needs its V part to vanish: it is then
     critical at every ratio.  r enters only as the column scales that return
     the assignments in c = r^weight c_normalized, so the reduction is kept
-    per (family, ratio) and a new radius at the same ratio only rescales it."""
+    per (family, ratio) and a new radius at the same ratio only rescales it;
+    at given radii a new ratio is read off the family's reduction over Z[rho]."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
     _, rows, _ = _family(n, kterms)
     constraint = None
-    if a2 is not None:
+    given = a2 is not None
+    if given:
         a2 = Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
@@ -257,7 +275,7 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
         if ratio is None and any(map(any, rows.v)):
             raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
         a2 = None if ratio is None else ratio * r * r
-    solution = _reduced(n, kterms, ratio).solution([r**w for w in rows.weights])
+    solution = _reduced(n, kterms, ratio, given).solution([r**w for w in rows.weights])
 
     delta = None
     degeneracy = None
@@ -266,9 +284,9 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
         delta, vanished = info
         notes = ["radii polynomial vanishes: " + ", ".join(vanished)] if vanished else []
         # at a constraint ratio the rank drops by design, so only given radii
-        # are compared with the pivots at a ratio above every degenerate one
-        if constraint is None:
-            generic = {rows.coefficients[c] for c in _reduced(n, kterms, rows.generic_ratio).pivot_columns}
+        # are compared with the pivots over Q(rho)
+        if given:
+            generic = {rows.coefficients[c] for c in _pencil(n, kterms).pivot_columns}
             actual = set(solution.pivot_unknowns)
             sides = ((generic - actual, "left free"), (actual - generic, "bound instead"))
             swaps = [f"{', '.join(sorted(names))} {what}" for names, what in sides if names]

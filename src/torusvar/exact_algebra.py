@@ -2,7 +2,7 @@
 
 Everything in this module runs over Python's arbitrary-precision
 ``fractions.Fraction``, so results are exact: no tolerance ever enters a
-comparison here.  Three layers are provided.
+comparison here.  Four layers are provided.
 
 * ``HPoly`` -- a dense univariate polynomial with rational coefficients,
   indexed so that ``coeffs[k]`` multiplies ``x**k``.  Trailing zeros are
@@ -23,13 +23,19 @@ comparison here.  Three layers are provided.
   A kernel basis of homogeneous rows is the free-parameter coefficients of
   the solved assignments.  The solved coefficients in the examples of interest
   reach seven-digit numerators, so keeping the integers small matters.
+* ``reduce_pencil`` -- the homogeneous integer rows ``rho U + V`` reduced
+  once over Z[rho], to a ``PencilReduction`` that gives the rows
+  ``reduce_rows`` gives at any ratio where its pivot polynomial does not
+  vanish, by one integer substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -38,6 +44,8 @@ __all__ = [
     "LinearSolution",
     "ReducedRows",
     "reduce_rows",
+    "PencilReduction",
+    "reduce_pencil",
     "solve_linear_system",
     "parse_fraction",
     "format_fraction",
@@ -302,6 +310,166 @@ def _eliminated(vec: list[int], pvec: list[int], c: int) -> list[int]:
     out = [f * x - g * y for x, y in zip(vec, pvec)]
     common = gcd(*out)
     return out if common <= 1 else [x // common for x in out]
+
+
+class PencilReduction:
+    """The homogeneous integer rows rho U + V reduced over Z[rho].
+
+    ``pivot_columns`` is the generic bound set G, in the order
+    :func:`reduce_rows` takes its pivots.  ``pivot`` holds the integer
+    coefficients (of rho^k at k) of the pivot polynomial D, a |G| x |G| minor
+    of the rows on the columns G.  ``rows`` holds (c, entries) for each pivot
+    column c, from the last pivot to the first, where ``entries`` are the
+    (column, coefficients) of P_c = D times the reduced row of c, on c and on
+    the columns outside G where it is not zero; it is zero on the rest of G.
+    D and each P_c are divided by the largest integer and power of rho that
+    divide them, which changes none of their roots but 0.  ``degree`` is the
+    largest degree among them, at most |G|.
+    """
+
+    __slots__ = ("unknowns", "pivot_columns", "pivot", "rows", "degree")
+
+    def __init__(self, unknowns, pivot_columns, pivot, rows):
+        self.unknowns = unknowns
+        self.pivot_columns = pivot_columns
+        self.pivot = pivot
+        self.rows = rows
+        self.degree = max([len(pivot), *(len(coeffs) for _, entries in rows for _, coeffs in entries)]) - 1
+
+    def at(self, ratio: Fraction) -> ReducedRows | None:
+        """The rows reduced at rho = ``ratio``, each the row of
+        :func:`reduce_rows` up to its sign; None at rho = 0 and where
+        D(rho) = 0, which holds wherever the pivots differ from G.  At
+        rho = num / den each entry is den^degree times its value, one integer
+        dot product with a power table shared by all, and each row is divided
+        by its content."""
+        num, den = ratio.numerator, ratio.denominator
+        powers = [*map(mul, accumulate([1] + [num] * self.degree, mul), [*accumulate([1] + [den] * self.degree, mul)][::-1])]
+        if not num or not sum(map(mul, self.pivot, powers)):
+            return None
+        size = len(self.unknowns) + 1
+        reduced = []
+        for c, entries in self.rows:
+            vec = [0] * size
+            for l, coeffs in entries:
+                vec[l] = sum(map(mul, coeffs, powers))
+            common = gcd(*vec)
+            reduced.append((tuple(x // common for x in vec), c))
+        # the rows have no constant column, so no row is left inconsistent
+        return ReducedRows(self.unknowns, tuple(reduced), self.pivot_columns, True)
+
+
+def reduce_pencil(
+    u: Sequence[Sequence[int]],
+    v: Sequence[Sequence[int]],
+    unknowns: Sequence[str],
+    pivot_order: Sequence[str] | None = None,
+) -> PencilReduction:
+    """``sum_l (rho u[l] + v[l]) * unknowns[l] == 0`` for every row pair,
+    reduced over Z[rho] with the pivots of :func:`reduce_rows`.
+
+    It interpolates: at an integer node x the rows x U + V reduce by
+    :func:`reduce_rows` to coprime rows r_c, and D(x) r_c / r_c[c] is P_c(x),
+    with D the minor on the rows S chosen where the pivots are first met.
+    By Cramer's rule every entry of P_c is a minor of the pencil, an integer
+    polynomial of degree at most |G|.  Nodes whose pivots differ or where D
+    vanishes are passed over, and the pivots kept are the first met at k + 1
+    nodes, for k the number of nonzero rows: pivots other than G's occur only
+    at roots of a nonzero minor on G, of which there are at most |G| <= k, and
+    k + 1 values fix each polynomial.
+    """
+    unknowns = tuple(unknowns)
+    pairs = [(ur, vr) for ur, vr in zip(u, v) if any(ur) or any(vr)]
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
+    for x in _nodes():
+        at_x = [[x * a + b for a, b in zip(ur, vr)] + [0] for ur, vr in pairs]
+        reduced = reduce_rows(at_x, unknowns, pivot_order)
+        pivots = reduced.pivot_columns
+        if pivots not in found:
+            # the first rows, in order, that are independent on the pivot columns
+            basis = reduce_rows([[row[c] for row in at_x] + [0] for c in pivots], range(len(at_x))).pivot_columns
+            found[pivots] = (basis, [])
+        basis, kept = found[pivots]
+        det = _determinant([[at_x[i][c] for c in pivots] for i in basis])
+        if det:
+            kept.append((x, det, {c: pvec for pvec, c in reduced.reduced}))
+            if len(kept) > len(pairs):
+                break
+
+    nodes, dets, by_pivot = zip(*kept)
+    columns, scale = _lagrange_columns(nodes)
+
+    def poly(ys: Sequence[int]) -> tuple[int, ...]:
+        coeffs = [sum(map(mul, ys, column)) // scale for column in columns]
+        while not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    bound = set(pivots)
+    rows = []
+    for c in reversed(pivots):
+        values = [(c, dets)] + [
+            (l, [d * r[c][l] // r[c][c] for d, r in zip(dets, by_pivot)]) for l in range(len(unknowns)) if l not in bound
+        ]
+        # an entry that vanishes at more nodes than its degree is zero
+        columns_c, polys = zip(*((l, poly(ys)) for l, ys in values if any(ys)))
+        rows.append((c, tuple(zip(columns_c, _primitive(polys)))))
+    (pivot,) = _primitive([poly(dets)])
+    return PencilReduction(unknowns, pivots, pivot, tuple(rows))
+
+
+def _primitive(polys: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Nonzero integer polynomials divided by the largest integer and power of
+    the variable that divide them all."""
+    common = gcd(*(x for p in polys for x in p))
+    shift = min(next(k for k, x in enumerate(p) if x) for p in polys)
+    return [tuple(x // common for x in p[shift:]) for p in polys]
+
+
+def _nodes():
+    """0, 1, -1, 2, -2, ...: the integers by size, so the values stay small."""
+    x = 0
+    while True:
+        yield x
+        x = -x if x > 0 else 1 - x
+
+
+def _determinant(matrix: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination (every division is exact)."""
+    m = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [0] * (k + 1) + [(m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev for j in range(k + 1, len(m))]
+        prev = m[k][k]
+    return sign * prev
+
+
+def _lagrange_columns(nodes: Sequence[int]) -> tuple[list[list[int]], int]:
+    """(columns, scale) such that the polynomial of degree < len(nodes) with
+    the values ys at the nodes has the coefficient sum(ys[i] * columns[k][i]) /
+    scale of x^k: column k holds the x^k coefficients of the Lagrange basis
+    polynomials times their common denominator ``scale``."""
+    basis, weights = [], []
+    for i, xi in enumerate(nodes):
+        coeffs = [1]
+        weight = 1
+        for j, xj in enumerate(nodes):
+            if j != i:
+                # coeffs times (x - xj)
+                coeffs = [a - xj * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+                weight *= xi - xj
+        basis.append(coeffs)
+        weights.append(weight)
+    scale = lcm(*weights)
+    return [list(column) for column in zip(*([c * (scale // w) for c in coeffs] for coeffs, w in zip(basis, weights)))], scale
 
 
 def solve_linear_system(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -256,16 +256,6 @@ class ResidualRows:
         """The integer rows num U + den V at rho = num / den; None reads U alone."""
         num, den = (1, 0) if ratio is None else (ratio.numerator, ratio.denominator)
         return [[num * x + den * y for x, y in zip(ur, vr)] for ur, vr in zip(self.u, self.v)]
-
-    @property
-    def generic_ratio(self) -> Fraction:
-        """rho0 = k! m^k + 2 for k rows and the largest |U| + |V| entry m.  A
-        minor of rho U + V is an integer polynomial in rho with coefficients
-        at most k! m^k, so by Cauchy's bound its roots lie below rho0: the
-        pivots at rho0 are those over Q(rho)."""
-        k = len(self.u)
-        m = max(abs(x) + abs(y) for ur, vr in zip(self.u, self.v) for x, y in zip(ur, vr))
-        return Fraction(factorial(k) * m**k + 2)
 
 
 def el_system(t: ExactTorus, lagrangian: Lagrangian) -> tuple[LinearForm, ...]:

@@ -1,6 +1,7 @@
 """The per-process memos of the exact path: the residual table of each
-monomial, each family's rows, and each family's reduction at one ratio.  A
-memo may change how fast a solve runs, never what it returns."""
+monomial, each family's rows, each family's reduction over Z[rho], and each
+family's reduction at one ratio.  A memo may change how fast a solve runs,
+never what it returns."""
 
 import re
 from fractions import Fraction
@@ -20,18 +21,21 @@ from torusvar.shape_equation import residual_column
 
 RADII = (Fraction(1), Fraction(3, 2), Fraction(41, 40))
 # (name, degree, extra argv, a^2/r^2 or None): pure-H n = 2..12, the reduced
-# K set that keeps a ratio constraint, and the degree-4 default K-family at
-# fixed radii
+# K set that keeps a ratio constraint, and the degree-4 default K-family and
+# the degree-8 theorem ladder at fixed radii
+THEOREM_8 = "K,HK,H2K,H3K,H4K,H5K,H6K,K2,HK2,H2K2,H3K2,H4K2,K3,HK3,H2K3,K4"
 FAMILIES = (
     [(f"pure_h n={n}", n, [], None) for n in range(2, 13)]
     + [("K2,HK", 4, ["--with-gauss", "--terms", "K2,HK"], None)]
     + [("default K n=4", 4, ["--with-gauss"], Fraction(3))]
+    + [("theorem K n=8", 8, ["--with-gauss", "--terms", THEOREM_8], Fraction(25, 8))]
 )
 K2_HK = ((0, 2), (1, 1))
 
 
 def clear_memos():
     critical_solver._family.cache_clear()
+    critical_solver._pencil.cache_clear()
     critical_solver._reduced.cache_clear()
     residual_column.cache_clear()
 
@@ -130,6 +134,7 @@ def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built
 def test_the_family_memo_has_a_constant_bound():
     size = critical_solver.FAMILY_MEMO_SIZE
     assert type(size) is int and critical_solver._family.cache_info().maxsize == size
+    assert critical_solver._pencil.cache_info().maxsize == size
     assert critical_solver._reduced.cache_info().maxsize == size
     assert type(shape_equation.COLUMN_MEMO_SIZE) is int
     assert residual_column.cache_info().maxsize == shape_equation.COLUMN_MEMO_SIZE
@@ -140,6 +145,7 @@ def test_the_family_memo_has_a_constant_bound():
     for kterms in subsets[: size + 8]:
         solve_with_gauss(6, 1, kterms, 3)
     assert critical_solver._family.cache_info().currsize == size
+    assert critical_solver._pencil.cache_info().currsize == size
     assert critical_solver._reduced.cache_info().currsize == size
 
 
