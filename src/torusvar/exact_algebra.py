@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -344,7 +344,10 @@ class PencilReduction:
         dot product with a power table shared by all, and each row is divided
         by its content."""
         num, den = ratio.numerator, ratio.denominator
-        powers = [*map(mul, accumulate([1] + [num] * self.degree, mul), [*accumulate([1] + [den] * self.degree, mul)][::-1])]
+        nums = accumulate([1] + [num] * self.degree, mul)
+        dens = [*accumulate([1] + [den] * self.degree, mul)][::-1]
+        # den^degree rho^k for k = 0..degree
+        powers = [*map(mul, nums, dens)]
         if not num or not sum(map(mul, self.pivot, powers)):
             return None
         size = len(self.unknowns) + 1
@@ -368,7 +371,7 @@ def reduce_pencil(
     """``sum_l (rho u[l] + v[l]) * unknowns[l] == 0`` for every row pair,
     reduced over Z[rho] with the pivots of :func:`reduce_rows`.
 
-    It interpolates: at an integer node x the rows x U + V reduce by
+    It interpolates: at the nodes x = 0, 1, 2, ... the rows x U + V reduce by
     :func:`reduce_rows` to coprime rows r_c, and D(x) r_c / r_c[c] is P_c(x),
     with D the minor on the rows S chosen where the pivots are first met.
     By Cramer's rule every entry of P_c is a minor of the pencil, an integer
@@ -381,7 +384,7 @@ def reduce_pencil(
     unknowns = tuple(unknowns)
     pairs = [(ur, vr) for ur, vr in zip(u, v) if any(ur) or any(vr)]
     found: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
-    for x in _nodes():
+    for x in count():
         at_x = [[x * a + b for a, b in zip(ur, vr)] + [0] for ur, vr in pairs]
         reduced = reduce_rows(at_x, unknowns, pivot_order)
         pivots = reduced.pivot_columns
@@ -408,9 +411,8 @@ def reduce_pencil(
     bound = set(pivots)
     rows = []
     for c in reversed(pivots):
-        values = [(c, dets)] + [
-            (l, [d * r[c][l] // r[c][c] for d, r in zip(dets, by_pivot)]) for l in range(len(unknowns)) if l not in bound
-        ]
+        free = (l for l in range(len(unknowns)) if l not in bound)
+        values = [(c, dets), *((l, [d * r[c][l] // r[c][c] for d, r in zip(dets, by_pivot)]) for l in free)]
         # an entry that vanishes at more nodes than its degree is zero
         columns_c, polys = zip(*((l, poly(ys)) for l, ys in values if any(ys)))
         rows.append((c, tuple(zip(columns_c, _primitive(polys)))))
@@ -424,14 +426,6 @@ def _primitive(polys: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     common = gcd(*(x for p in polys for x in p))
     shift = min(next(k for k, x in enumerate(p) if x) for p in polys)
     return [tuple(x // common for x in p[shift:]) for p in polys]
-
-
-def _nodes():
-    """0, 1, -1, 2, -2, ...: the integers by size, so the values stay small."""
-    x = 0
-    while True:
-        yield x
-        x = -x if x > 0 else 1 - x
 
 
 def _determinant(matrix: list[list[int]]) -> int:
@@ -469,7 +463,8 @@ def _lagrange_columns(nodes: Sequence[int]) -> tuple[list[list[int]], int]:
         basis.append(coeffs)
         weights.append(weight)
     scale = lcm(*weights)
-    return [list(column) for column in zip(*([c * (scale // w) for c in coeffs] for coeffs, w in zip(basis, weights)))], scale
+    scaled = ([c * (scale // w) for c in coeffs] for coeffs, w in zip(basis, weights))
+    return [list(column) for column in zip(*scaled)], scale
 
 
 def solve_linear_system(
