@@ -188,10 +188,26 @@ def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction
     return value, tuple(name for name, v in factors if v == 0)
 
 
-def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
+# families, their constraint ratios, their reductions over Z[rho], and
+# (family, ratio) reductions, that are kept; an exact-families pass uses 35
+# distinct families, 12 of them at given radii, and 40 distinct reductions
+FAMILY_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _family(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Lagrangian, ResidualRows, tuple[str, ...]]:
+    """The radius-free parts of a degree-n family with K terms ``kterms``:
+    its Lagrangian, residual rows and pivot order."""
+    lagrangian = family_lagrangian(n, kterms)
+    return lagrangian, ResidualRows.of(lagrangian), _pivot_order(n, len(kterms))
+
+
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _constraint(n: int, kterms: tuple[tuple[int, int], ...]) -> Fraction | None:
     """The aspect ratio a^2/r^2 at which the top row H^(n+1) of a degree-n
     family vanishes, if it involves a1 alone; None when it vanishes
     identically (no restriction on the radii)."""
+    _, rows, _ = _family(n, kterms)
     if n + 1 >= len(rows.u):
         return None
     u_row, v_row = rows.u[n + 1], rows.v[n + 1]
@@ -212,20 +228,6 @@ def _constraint(rows: ResidualRows, n: int) -> Fraction | None:
     if ratio <= 1:
         raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
     return ratio
-
-
-# families, their reductions over Z[rho], and (family, ratio) reductions,
-# that are kept; an exact-families pass uses 35 distinct families, 12 of them
-# at given radii, and 40 distinct reductions
-FAMILY_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _family(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Lagrangian, ResidualRows, tuple[str, ...]]:
-    """The radius-free parts of a degree-n family with K terms ``kterms``:
-    its Lagrangian, residual rows and pivot order."""
-    lagrangian = family_lagrangian(n, kterms)
-    return lagrangian, ResidualRows.of(lagrangian), _pivot_order(n, len(kterms))
 
 
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
@@ -255,7 +257,7 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     at rho = num / den: a2 / r^2 if ``a2`` is given, else the root of the top
     row (the constraint).  Where the top row vanishes identically the family
     is read from U alone, which needs its V part to vanish: it is then
-    critical at every ratio.  r enters only as the column scales that return
+    critical at every ratio.  r enters only as the column weights that return
     the assignments in c = r^weight c_normalized, so the reduction is kept
     per (family, ratio) and a new radius at the same ratio only rescales it;
     at given radii a new ratio is read off the family's reduction over Z[rho]."""
@@ -271,11 +273,11 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
             raise ValueError("need a^2 > r^2")
         ratio = a2 / (r * r)
     else:
-        ratio = constraint = _constraint(rows, n)
+        ratio = constraint = _constraint(n, kterms)
         if ratio is None and any(map(any, rows.v)):
             raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
         a2 = None if ratio is None else ratio * r * r
-    solution = _reduced(n, kterms, ratio, given).solution([r**w for w in rows.weights])
+    solution = _reduced(n, kterms, ratio, given).solution(r, rows.weights)
 
     delta = None
     degeneracy = None

@@ -16,8 +16,9 @@ comparison here.  Four layers are provided.
 * ``reduce_rows`` -- exact solving of rational row vectors, entirely in
   integers (sparse fraction-free elimination: a pivot touches only the rows
   with a nonzero entry in its column, and every row is kept coprime), to a
-  ``ReducedRows`` whose ``solution`` builds the assignments under column
-  scales, so one reduction serves rows that differ only by their scales.
+  ``ReducedRows`` whose ``solution`` builds the assignments with column l
+  scaled by r^(weight l), so one reduction serves rows that differ only by
+  such scales.
   ``solve_linear_system`` (``LinearForm`` rows, each read as ``form == 0``)
   and the critical families both go through it.
   A kernel basis of homogeneous rows is the free-parameter coefficients of
@@ -50,6 +51,9 @@ __all__ = [
     "parse_fraction",
     "format_fraction",
 ]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -145,8 +149,16 @@ class LinearForm:
         object.__setattr__(self, "constant", _as_fraction(self.constant))
 
     @staticmethod
+    def _of(terms: dict[str, Fraction], constant: Fraction) -> "LinearForm":
+        """The form of nonzero Fraction ``terms`` and a Fraction ``constant``,
+        taken as they are: the constructor's cleaning is skipped."""
+        form = object.__new__(LinearForm)
+        form.__dict__.update(terms=terms, constant=constant)
+        return form
+
+    @staticmethod
     def variable(name: str) -> "LinearForm":
-        return LinearForm({name: 1})
+        return LinearForm._of({name: _ONE}, _ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +170,9 @@ class LinearForm:
     def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
         total = self.constant
         for name, coeff in self.terms.items():
-            total += coeff * _as_fraction(assignment[name])
+            value = _as_fraction(assignment[name])
+            if value:
+                total += coeff * value
         return total
 
     def __str__(self) -> str:
@@ -210,27 +224,34 @@ class ReducedRows:
     pivot_columns: tuple[int, ...]
     consistent: bool
 
-    def solution(self, scales: Sequence[Fraction] | None = None) -> LinearSolution:
+    def solution(self, r: Fraction = _ONE, weights: Sequence[int] | None = None) -> LinearSolution:
         """The assignments of the reduced rows, column l multiplying
-        ``unknowns[l] / scales[l]``; each coefficient is one Fraction built
-        from the reduced integers."""
+        ``unknowns[l] / r**weights[l]`` (no weights: all 0).  The coefficient
+        of x_l in x_c is -a/b r^(w_c - w_l), with a, b the row's integers on
+        l and c, built as one Fraction of integers with r's numerator and
+        denominator raised to w_c - w_l once for the whole solution; the
+        constant column has weight 0."""
         unknowns, pivot_cols = self.unknowns, set(self.pivot_columns)
         free_cols = [l for l in range(len(unknowns)) if l not in pivot_cols]
-        # scale l as an integer pair (num, den); the constant column has scale 1
-        ratios = [(1, 1)] * (len(unknowns) + 1)
-        if scales is not None:
-            ratios[:-1] = [(s.numerator, s.denominator) for s in map(Fraction, scales)]
+        weights = [*(weights or [0] * len(unknowns)), 0]
+        # r^e as an integer pair (num, den), for e from -span to span
+        span = max(weights) - min(weights)
+        nums = [*accumulate([1] + [r.numerator] * span, mul)]
+        dens = [*accumulate([1] + [r.denominator] * span, mul)]
+        power = {e: (nums[e], dens[e]) if e >= 0 else (dens[-e], nums[-e]) for e in range(-span, span + 1)}
+        columns = [(unknowns[l], l, weights[l]) for l in free_cols]
         forms = {unknowns[l]: LinearForm.variable(unknowns[l]) for l in free_cols}
         for pvec, c in self.reduced:
-            # x_c = -(sum_l pvec[l] x_l s_c / s_l + pvec[-1] s_c) / pvec[c]
-            num, den = ratios[c]
-            num, den = -num, den * pvec[c]
-            terms = {
-                unknowns[l]: Fraction(num * pvec[l] * ratios[l][1], den * ratios[l][0])
-                for l in free_cols
-                if pvec[l]
-            }
-            forms[unknowns[c]] = LinearForm(terms, Fraction(num * pvec[-1], den))
+            # x_c = -(sum_l pvec[l] x_l r^(w_c - w_l) + pvec[-1] r^w_c) / pvec[c]
+            b, wc = pvec[c], weights[c]
+            terms = {}
+            for name, l, wl in columns:
+                if a := pvec[l]:
+                    num, den = power[wc - wl]
+                    terms[name] = Fraction(-a * num, b * den)
+            num, den = power[wc]
+            constant = Fraction(-pvec[-1] * num, b * den) if pvec[-1] else _ZERO
+            forms[unknowns[c]] = LinearForm._of(terms, constant)
 
         return LinearSolution(
             assignments={u: forms[u] for u in unknowns},
@@ -341,8 +362,8 @@ class PencilReduction:
         :func:`reduce_rows` up to its sign; None at rho = 0 and where
         D(rho) = 0, which holds wherever the pivots differ from G.  At
         rho = num / den each entry is den^degree times its value, one integer
-        dot product with a power table shared by all, and each row is divided
-        by its content."""
+        dot product with a power table shared by all, and each row's nonzero
+        entries are divided by its content."""
         num, den = ratio.numerator, ratio.denominator
         nums = accumulate([1] + [num] * self.degree, mul)
         dens = [*accumulate([1] + [den] * self.degree, mul)][::-1]
@@ -353,11 +374,12 @@ class PencilReduction:
         size = len(self.unknowns) + 1
         reduced = []
         for c, entries in self.rows:
+            values = [sum(map(mul, coeffs, powers)) for _, coeffs in entries]
+            common = gcd(*values)
             vec = [0] * size
-            for l, coeffs in entries:
-                vec[l] = sum(map(mul, coeffs, powers))
-            common = gcd(*vec)
-            reduced.append((tuple(x // common for x in vec), c))
+            for (l, _), x in zip(entries, values):
+                vec[l] = x // common
+            reduced.append((tuple(vec), c))
         # the rows have no constant column, so no row is left inconsistent
         return ReducedRows(self.unknowns, tuple(reduced), self.pivot_columns, True)
 

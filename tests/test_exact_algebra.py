@@ -266,3 +266,36 @@ def test_family_systems_solve_like_gauss_jordan(n, kterms, ratio):
     for u, (terms, _) in assignments.items():
         expected = {f: c * r ** (weight[u] - weight[f]) for f, c in terms.items()}
         assert report.assignments[u] == LinearForm(expected), u
+
+
+@pytest.mark.parametrize("kind", ["dense", "rank_deficient", "inconsistent", "fractions"])
+def test_weighted_solutions_carry_each_coefficient_by_one_power_of_r(kind):
+    # column l multiplies x_l / r^w_l, so the oracle's coefficient of x_l in
+    # x_c comes back times r^(w_c - w_l), and its constant times r^w_c
+    rng = random.Random(f"weighted {kind}")
+    for _ in range(150):
+        rows, unknowns, order = _random_system(rng, kind)
+        weight = {u: rng.randint(-4, 5) for u in unknowns}
+        r = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        solution = reduce_rows(rows, unknowns, order).solution(r, [weight[u] for u in unknowns])
+        _, free, assignments, offending = gauss_jordan(rows, unknowns, order)
+        assert list(solution.free) == free and solution.consistent == (not offending)
+        for u in free:
+            assert solution.assignments[u] == LinearForm.variable(u)
+        for u, (terms, constant) in assignments.items():
+            form = solution.assignments[u]
+            expected = {f: c * r ** (weight[u] - weight[f]) for f, c in terms.items()}
+            assert (form.terms, form.constant) == (expected, constant * r ** weight[u]), u
+            # built without the constructor's cleaning: Fractions only, none zero
+            assert all(type(x) is Fraction and x for x in form.terms.values())
+            assert type(form.constant) is Fraction
+
+
+def test_evaluate_skips_zero_values_but_still_reads_every_name():
+    form = LinearForm({"x": Fraction(2, 3), "y": 5}, Fraction(1, 7))
+    assert form.evaluate({"x": 0, "y": Fraction(1, 5)}) == Fraction(8, 7)
+    assert form.evaluate({"x": Fraction(0), "y": 0}) == Fraction(1, 7)
+    with pytest.raises(KeyError):
+        form.evaluate({"x": 0})
+    with pytest.raises(TypeError):
+        form.evaluate({"x": 0.0, "y": 1})

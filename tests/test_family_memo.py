@@ -35,6 +35,7 @@ K2_HK = ((0, 2), (1, 1))
 
 def clear_memos():
     critical_solver._family.cache_clear()
+    critical_solver._constraint.cache_clear()
     critical_solver._pencil.cache_clear()
     critical_solver._reduced.cache_clear()
     residual_column.cache_clear()
@@ -134,6 +135,7 @@ def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built
 def test_the_family_memo_has_a_constant_bound():
     size = critical_solver.FAMILY_MEMO_SIZE
     assert type(size) is int and critical_solver._family.cache_info().maxsize == size
+    assert critical_solver._constraint.cache_info().maxsize == size
     assert critical_solver._pencil.cache_info().maxsize == size
     assert critical_solver._reduced.cache_info().maxsize == size
     assert type(shape_equation.COLUMN_MEMO_SIZE) is int
@@ -171,17 +173,33 @@ def _weights(n, kterms):
     return weight
 
 
-@pytest.mark.parametrize(
-    "n, kterms", [(n, ()) for n in range(2, 13)] + [(4, K2_HK)], ids=[f"n={n}" for n in range(2, 13)] + ["K2,HK"]
+# (n, K terms, a^2/r^2 or None): pure-H n = 2..12 and the reduced K set at
+# their constraint ratios, and theorem ladders at given radii
+SCALED = (
+    [(n, (), None) for n in range(2, 13)]
+    + [(4, K2_HK, None)]
+    + [(n, theorem_kterms(n), Fraction(28, 9)) for n in (4, 6, 9, 14)]
 )
-def test_solves_at_every_radius_follow_the_scale_law(n, kterms):
-    solve = (lambda r: solve_with_gauss(n, r, kterms)) if kterms else (lambda r: solve_pure_h(n, r))
+
+
+@pytest.mark.parametrize(
+    "n, kterms, ratio",
+    SCALED,
+    ids=[f"n={n}" for n in range(2, 13)] + ["K2,HK"] + [f"theorem n={n} rho=28/9" for n in (4, 6, 9, 14)],
+)
+def test_solves_at_every_radius_follow_the_scale_law(n, kterms, ratio):
+    if ratio is not None:
+        solve = lambda r: solve_with_gauss(n, r, kterms, ratio * r * r)
+    elif kterms:
+        solve = lambda r: solve_with_gauss(n, r, kterms)
+    else:
+        solve = lambda r: solve_pure_h(n, r)
     weight = _weights(n, kterms)
     clear_memos()
     base = solve(Fraction(1))
     for r in (Fraction(3, 2), Fraction(7, 5), Fraction(41, 40)):
         scaled = solve(r)
-        assert scaled.constraint == base.constraint and scaled.a2 == base.constraint * r * r
+        assert scaled.constraint == base.constraint and scaled.a2 == base.a2 * r * r
         assert scaled.free_parameters == base.free_parameters
         for name, form in base.assignments.items():
             expected = LinearForm(
@@ -189,3 +207,8 @@ def test_solves_at_every_radius_follow_the_scale_law(n, kterms):
                 form.constant,
             )
             assert scaled.assignments[name] == expected, (n, r, name)
+            # forms are built without the constructor's cleaning, so they
+            # must come out canonical: Fractions only, and no zero coefficient
+            got = scaled.assignments[name]
+            assert all(type(x) is Fraction for x in (got.constant, *got.terms.values())), (n, r, name)
+            assert all(got.terms.values()), (n, r, name)
