@@ -188,10 +188,8 @@ SCALED = (
     ids=[f"n={n}" for n in range(2, 13)] + ["K2,HK"] + [f"theorem n={n} rho=28/9" for n in (4, 6, 9, 14)],
 )
 def test_solves_at_every_radius_follow_the_scale_law(n, kterms, ratio):
-    if ratio is not None:
-        solve = lambda r: solve_with_gauss(n, r, kterms, ratio * r * r)
-    elif kterms:
-        solve = lambda r: solve_with_gauss(n, r, kterms)
+    if kterms:
+        solve = lambda r: solve_with_gauss(n, r, kterms, None if ratio is None else ratio * r * r)
     else:
         solve = lambda r: solve_pure_h(n, r)
     weight = _weights(n, kterms)
