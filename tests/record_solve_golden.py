@@ -22,8 +22,10 @@ GOLDEN = Path(__file__).resolve().parent / "solve_golden"
 # given radii: none at a generic ratio with the inert K, a pivot swap, and a
 # rank drop; then the degree-8 theorem ladder at given radii, the largest
 # family solved by substituting the ratio into its reduction over Z[rho];
-# last two cases at a radius off 1 and 3/2, a pure-H family and the degree-6
-# theorem ladder at a^2/r^2 = 28/9
+# two cases at a radius off 1 and 3/2, a pure-H family and the degree-6
+# theorem ladder at a^2/r^2 = 28/9; last the degree-4 default K-family at
+# r = 3/2 twice, at a^2/r^2 = 3, a ratio solved above at r = 1, and at
+# a^2/r^2 = 2, a root of its pivot polynomial, where the generic pivots swap
 CASES = (
     "solve --degree 3 --r 1",
     "solve --degree 4 --with-gauss --a2 3 --r 1",
@@ -39,6 +41,8 @@ CASES = (
     "solve --degree 8 --with-gauss --terms K,HK,H2K,H3K,H4K,H5K,H6K,K2,HK2,H2K2,H3K2,H4K2,K3,HK3,H2K3,K4 --a2 25/8 --r 3/2",
     "solve --degree 12 --r 41/40",
     "solve --degree 6 --with-gauss --terms K,HK,H2K,H3K,H4K,K2,HK2,H2K2,K3 --a2 11767/3600 --r 41/40",
+    "solve --degree 4 --with-gauss --a2 27/4 --r 3/2",
+    "solve --degree 4 --with-gauss --a2 9/2 --r 3/2",
 )
 
 
