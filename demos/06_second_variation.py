@@ -23,7 +23,9 @@ for m in (1, 2):
 
 w1 = Perturbation({1: 1.0})
 w2 = Perturbation({}, {2: 0.5})
-lhs = second_variation(t, bending, 0.0, w1 + w2) + second_variation(t, bending, 0.0, w1 - w2)
+w_sum = Perturbation({1: 1.0}, {2: 0.5})
+w_diff = Perturbation({1: 1.0}, {2: -0.5})
+lhs = second_variation(t, bending, 0.0, w_sum) + second_variation(t, bending, 0.0, w_diff)
 rhs = 2 * second_variation(t, bending, 0.0, w1) + 2 * second_variation(t, bending, 0.0, w2)
 print(f"\nparallelogram law gap: {abs(lhs - rhs):.2e}")
 

@@ -14,12 +14,13 @@ curvature terms K^m H^k (m >= 1) contributes extra unknowns that remove the
 ratio constraint; those solves run at fixed radii.
 
 Nothing in a family's rows depends on r, so each family's rows are built
-once per process and reduced once per ratio a^2/r^2; a solve at a new radius
-and the same ratio then only rescales the reduced integers (see
+once per process.  A family at its constraint ratio is reduced there once,
+and a solve at a new radius only rescales the reduced integers (see
 :class:`torusvar.exact_algebra.ReducedRows`).  A family solved at given radii
-is also reduced once over Z[rho] (:class:`torusvar.exact_algebra.PencilReduction`),
-so a new ratio is one integer substitution wherever its pivot polynomial
-does not vanish.
+is reduced once over Z[rho] (:class:`torusvar.exact_algebra.PencilReduction`),
+so each ratio is one integer substitution wherever its pivot polynomial does
+not vanish, and is reduced afresh only where it does; nothing is kept per
+ratio.
 
 Free parameters are chosen deterministically: pivots are preferred in the
 order (p, K-term coefficients from highest index down, the constant
@@ -188,9 +189,9 @@ def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction
     return value, tuple(name for name, v in factors if v == 0)
 
 
-# families, their constraint ratios, their reductions over Z[rho], and
-# (family, ratio) reductions, that are kept; an exact-families pass uses 35
-# distinct families, 12 of them at given radii, and 40 distinct reductions
+# families, their constraint ratios and reductions, and their reductions over
+# Z[rho], that are kept; an exact-families pass uses 35 distinct families, 23
+# of them at a constraint ratio and 12 at given radii
 FAMILY_MEMO_SIZE = 64
 
 
@@ -202,32 +203,40 @@ def _family(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Lagrangian, Re
     return lagrangian, ResidualRows.of(lagrangian), _pivot_order(n, len(kterms))
 
 
+def _reduce_at(rows: ResidualRows, order: tuple[str, ...], ratio: Fraction | None) -> ReducedRows:
+    """``rows`` reduced at rho = ``ratio``; None reads U alone.  No coefficient
+    is known, so the constant column is zero, and so is every assignment's."""
+    return reduce_rows([row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order)
+
+
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _constraint(n: int, kterms: tuple[tuple[int, int], ...]) -> Fraction | None:
+def _constrained(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Fraction | None, ReducedRows]:
     """The aspect ratio a^2/r^2 at which the top row H^(n+1) of a degree-n
-    family vanishes, if it involves a1 alone; None when it vanishes
-    identically (no restriction on the radii)."""
-    _, rows, _ = _family(n, kterms)
-    if n + 1 >= len(rows.u):
-        return None
-    u_row, v_row = rows.u[n + 1], rows.v[n + 1]
-    involved = {name for name, x, y in zip(rows.coefficients, u_row, v_row) if x or y}
-    extra = involved - {"a1"}
-    if extra:
-        raise ValueError(
-            "no pure radius constraint: the top residual row also involves "
-            + ", ".join(sorted(extra))
-        )
-    a1 = rows.coefficients.index("a1")
-    u, v = u_row[a1], v_row[a1]
-    if u == 0 and v == 0:
-        return None
-    if u == 0:
-        raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
-    ratio = Fraction(-v, u)
-    if ratio <= 1:
-        raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
-    return ratio
+    family vanishes, if it involves a1 alone, and the rows reduced there.
+    None when the top row vanishes identically: the rows are then read from
+    U alone, which needs their V part to vanish (critical at every ratio)."""
+    _, rows, order = _family(n, kterms)
+    ratio = None
+    if n + 1 < len(rows.u):
+        u_row, v_row = rows.u[n + 1], rows.v[n + 1]
+        involved = {name for name, x, y in zip(rows.coefficients, u_row, v_row) if x or y}
+        extra = involved - {"a1"}
+        if extra:
+            raise ValueError(
+                "no pure radius constraint: the top residual row also involves "
+                + ", ".join(sorted(extra))
+            )
+        a1 = rows.coefficients.index("a1")
+        u, v = u_row[a1], v_row[a1]
+        if u == 0 and v != 0:
+            raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
+        if u:
+            ratio = Fraction(-v, u)
+            if ratio <= 1:
+                raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
+    if ratio is None and any(map(any, rows.v)):
+        raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
+    return ratio, _reduce_at(rows, order, ratio)
 
 
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
@@ -238,46 +247,29 @@ def _pencil(n: int, kterms: tuple[tuple[int, int], ...]) -> PencilReduction:
     return reduce_pencil(rows.u, rows.v, rows.coefficients, order)
 
 
-@lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _reduced(n: int, kterms: tuple[tuple[int, int], ...], ratio: Fraction | None, given: bool) -> ReducedRows:
-    """The family's rows reduced at rho = ``ratio``; None reads U alone.  At
-    ``given`` radii the rows are read off the family's reduction over Z[rho]
-    wherever its pivot polynomial does not vanish; at a constraint ratio the
-    rank drops by design, so that reduction would not serve it."""
-    _, rows, order = _family(n, kterms)
-    reduced = _pencil(n, kterms).at(ratio) if given else None
-    # no known coefficient, so the constant column is zero, and so is every
-    # assignment's constant
-    return reduced or reduce_rows([row + [0] for row in rows.at_ratio(ratio)], rows.coefficients, order)
-
-
 def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
     """The degree-n family with K terms ``kterms`` at small radius r, solved
     on the integer rows num U + den V of its unknowns normalized by r^-weight
     at rho = num / den: a2 / r^2 if ``a2`` is given, else the root of the top
-    row (the constraint).  Where the top row vanishes identically the family
-    is read from U alone, which needs its V part to vanish: it is then
-    critical at every ratio.  r enters only as the column weights that return
-    the assignments in c = r^weight c_normalized, so the reduction is kept
-    per (family, ratio) and a new radius at the same ratio only rescales it;
-    at given radii a new ratio is read off the family's reduction over Z[rho]."""
+    row (the constraint).  r enters only as the column weights that return
+    the assignments in c = r^weight c_normalized, so a constraint family is
+    reduced once and a new radius only rescales it; at given radii the rows
+    are read off the family's reduction over Z[rho], and reduced at rho only
+    where its pivot polynomial vanishes."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    _, rows, _ = _family(n, kterms)
-    constraint = None
-    given = a2 is not None
-    if given:
-        a2 = Fraction(a2)
+    _, rows, order = _family(n, kterms)
+    if a2 is None:
+        constraint, reduced = _constrained(n, kterms)
+        a2 = None if constraint is None else constraint * r * r
+    else:
+        constraint, a2 = None, Fraction(a2)
         if a2 <= r * r:
             raise ValueError("need a^2 > r^2")
         ratio = a2 / (r * r)
-    else:
-        ratio = constraint = _constraint(n, kterms)
-        if ratio is None and any(map(any, rows.v)):
-            raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
-        a2 = None if ratio is None else ratio * r * r
-    solution = _reduced(n, kterms, ratio, given).solution(r, rows.weights)
+        reduced = _pencil(n, kterms).at(ratio) or _reduce_at(rows, order, ratio)
+    solution = reduced.solution(r, rows.weights)
 
     delta = None
     degeneracy = None
@@ -287,7 +279,7 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
         notes = ["radii polynomial vanishes: " + ", ".join(vanished)] if vanished else []
         # at a constraint ratio the rank drops by design, so only given radii
         # are compared with the pivots over Q(rho)
-        if given:
+        if constraint is None:
             generic = {rows.coefficients[c] for c in _pencil(n, kterms).pivot_columns}
             actual = set(solution.pivot_unknowns)
             sides = ((generic - actual, "left free"), (actual - generic, "bound instead"))

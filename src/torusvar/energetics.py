@@ -68,24 +68,6 @@ class Perturbation:
                 if j < 0:
                     raise ValueError("mode indices must be nonnegative")
 
-    def scale(self, factor: float) -> "Perturbation":
-        return Perturbation(
-            {j: factor * c for j, c in self.cos_modes.items()},
-            {j: factor * c for j, c in self.sin_modes.items()},
-        )
-
-    def __add__(self, other: "Perturbation") -> "Perturbation":
-        cos = dict(self.cos_modes)
-        for j, c in other.cos_modes.items():
-            cos[j] = cos.get(j, 0.0) + c
-        sin = dict(self.sin_modes)
-        for j, c in other.sin_modes.items():
-            sin[j] = sin.get(j, 0.0) + c
-        return Perturbation(cos, sin)
-
-    def __sub__(self, other: "Perturbation") -> "Perturbation":
-        return self + other.scale(-1.0)
-
     def values(self, u: np.ndarray) -> np.ndarray:
         total = np.zeros_like(u)
         for j, c in self.cos_modes.items():

@@ -461,7 +461,9 @@ def test_acceptance_7_property_suite():
     t = TorusShape.from_ratio(2, 1)
     w1 = Perturbation({1: 1.0, 2: -0.3})
     w2 = Perturbation({3: 0.8}, {1: 0.5})
-    lhs = second_variation(t, lag, 0.0, w1 + w2) + second_variation(t, lag, 0.0, w1 - w2)
+    w_sum = Perturbation({1: 1.0, 2: -0.3, 3: 0.8}, {1: 0.5})
+    w_diff = Perturbation({1: 1.0, 2: -0.3, 3: -0.8}, {1: -0.5})
+    lhs = second_variation(t, lag, 0.0, w_sum) + second_variation(t, lag, 0.0, w_diff)
     rhs = 2 * second_variation(t, lag, 0.0, w1) + 2 * second_variation(t, lag, 0.0, w2)
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-9
 

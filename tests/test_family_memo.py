@@ -1,7 +1,8 @@
 """The per-process memos of the exact path: the residual table of each
-monomial, each family's rows, each family's reduction over Z[rho], and each
-family's reduction at one ratio.  A memo may change how fast a solve runs,
-never what it returns."""
+monomial, each family's rows, each constraint family's ratio and its
+reduction there, and each family's reduction over Z[rho].  Nothing is kept
+per ratio.  A memo may change how fast a solve runs, never what it
+returns."""
 
 import re
 from fractions import Fraction
@@ -19,6 +20,8 @@ from torusvar.critical_solver import (
 from torusvar.exact_algebra import LinearForm
 from torusvar.shape_equation import residual_column
 
+from oracles import evaluate
+
 RADII = (Fraction(1), Fraction(3, 2), Fraction(41, 40))
 # (name, degree, extra argv, a^2/r^2 or None): pure-H n = 2..12, the reduced
 # K set that keeps a ratio constraint, and the degree-4 default K-family and
@@ -35,10 +38,22 @@ K2_HK = ((0, 2), (1, 1))
 
 def clear_memos():
     critical_solver._family.cache_clear()
-    critical_solver._constraint.cache_clear()
+    critical_solver._constrained.cache_clear()
     critical_solver._pencil.cache_clear()
-    critical_solver._reduced.cache_clear()
     residual_column.cache_clear()
+
+
+def counted(monkeypatch, name):
+    """Calls of ``critical_solver``'s ``name``, counted from now on."""
+    calls = []
+    wrapped = getattr(critical_solver, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(critical_solver, name, counting)
+    return calls
 
 
 def cli_outputs(capsys, degree, extra, ratio, r):
@@ -115,6 +130,7 @@ def test_residual_tables_are_immutable_and_built_once():
 
 def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built():
     # the default degree-4 K-family's top row also involves a8
+    clear_memos()
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError) as info:
@@ -130,14 +146,14 @@ def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built
     with pytest.raises(ValueError, match="also involves a4"):
         solve_with_gauss(2, 1, [(1, 1)])
     assert solve_with_gauss(2, 1, [(1, 1)], 3).consistent
+    assert critical_solver._constrained.cache_info().currsize == 0
 
 
 def test_the_family_memo_has_a_constant_bound():
     size = critical_solver.FAMILY_MEMO_SIZE
     assert type(size) is int and critical_solver._family.cache_info().maxsize == size
-    assert critical_solver._constraint.cache_info().maxsize == size
+    assert critical_solver._constrained.cache_info().maxsize == size
     assert critical_solver._pencil.cache_info().maxsize == size
-    assert critical_solver._reduced.cache_info().maxsize == size
     assert type(shape_equation.COLUMN_MEMO_SIZE) is int
     assert residual_column.cache_info().maxsize == shape_equation.COLUMN_MEMO_SIZE
     # more distinct families than the bound leave the memo at the bound
@@ -148,20 +164,38 @@ def test_the_family_memo_has_a_constant_bound():
         solve_with_gauss(6, 1, kterms, 3)
     assert critical_solver._family.cache_info().currsize == size
     assert critical_solver._pencil.cache_info().currsize == size
-    assert critical_solver._reduced.cache_info().currsize == size
 
 
-def test_a_fixed_radii_family_at_a_known_ratio_is_not_reduced_again(capsys):
-    # the degree-4 default K-family at a^2/r^2 = 3: a second radius reads the
-    # reduction the first one kept, and prints what a fresh solve prints
+def test_a_fixed_radii_family_at_a_known_ratio_is_not_reduced_again(capsys, monkeypatch):
+    # the degree-4 default K-family at a^2/r^2 = 3: a second radius
+    # substitutes into the reduction over Z[rho] the first one kept, and
+    # prints what a fresh solve prints
     clear_memos()
     cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(1))
-    before = critical_solver._reduced.cache_info()
+    reductions = counted(monkeypatch, "reduce_rows")
+    pencils = counted(monkeypatch, "reduce_pencil")
     again = cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(3, 2))
-    after = critical_solver._reduced.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
+    assert not reductions and not pencils
     clear_memos()
     assert cli_outputs(capsys, 4, ["--with-gauss"], Fraction(3), Fraction(3, 2)) == again
+
+
+def test_solves_at_many_given_ratios_keep_nothing_per_ratio(monkeypatch):
+    # the degree-8 theorem ladder at 100 distinct a^2/r^2: each family memo
+    # holds the one family, and the rows are reduced at a ratio only where
+    # the family's pivot polynomial D vanishes
+    n, kterms = 8, theorem_kterms(8)
+    clear_memos()
+    pivot = critical_solver._pencil(n, kterms).pivot
+    reductions = counted(monkeypatch, "reduce_rows")
+    for k in range(100):
+        r, ratio = Fraction(k + 17, k + 16), Fraction(3 * k + 25, k + 8)
+        before = len(reductions)
+        assert solve_with_gauss(n, r, kterms, ratio * r * r).consistent
+        assert len(reductions) == before or evaluate(pivot, ratio) == 0, ratio
+    memos = {name: f for name, f in vars(critical_solver).items() if hasattr(f, "cache_info")}
+    assert set(memos) == {"_family", "_constrained", "_pencil"}
+    assert all(f.cache_info().currsize <= 1 for f in memos.values()), {name: f.cache_info() for name, f in memos.items()}
 
 
 def _weights(n, kterms):

@@ -43,10 +43,10 @@ def test_substituting_a_ratio_solves_like_reducing_at_it(n, kterms):
     substituted = 0
     for ratio in RATIOS:
         direct = reduced_at(rows, order, ratio)
-        critical_solver._reduced.cache_clear()
-        kept = critical_solver._reduced(n, kterms, ratio, True)
-        assert kept.pivot_columns == direct.pivot_columns, ratio
-        assert kept.solution() == direct.solution(), ratio
+        # what the solver reads at r = 1: the same pivots and solution
+        expected, solved = direct.solution(), solve_with_gauss(n, 1, kterms, ratio)
+        assert set(solved.unknowns) - set(solved.free_parameters) == set(expected.pivot_unknowns), ratio
+        assert solved.free_parameters == expected.free and solved.assignments == expected.assignments, ratio
         at = pencil.at(ratio)
         # the pivots differ from the generic ones only where D vanishes
         assert (at is None) == (evaluate(pencil.pivot, ratio) == 0), ratio
@@ -81,7 +81,6 @@ def test_the_fallback_reduces_at_the_ratio_where_the_pivot_polynomial_vanishes(m
     assert direct.pivot_columns != pencil.pivot_columns
 
     monkeypatch.setattr(critical_solver, "reduce_rows", counted)
-    critical_solver._reduced.cache_clear()
     report = solve_with_gauss(n, 1, kterms, ratio)
     assert len(calls) == 1
     assert report.free_parameters == direct.solution().free
@@ -95,7 +94,6 @@ def test_a_substituted_family_matches_the_gauss_jordan_oracle():
     # Fractions over rows built from the oracle's monomial residuals
     n, kterms, ratio = 6, theorem_kterms(6), Fraction(25, 8)
     critical_solver._pencil.cache_clear()
-    critical_solver._reduced.cache_clear()
     assert critical_solver._pencil(n, kterms).at(ratio) is not None
     report = solve_with_gauss(n, 1, kterms, ratio)
 
