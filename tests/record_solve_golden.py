@@ -25,7 +25,9 @@ GOLDEN = Path(__file__).resolve().parent / "solve_golden"
 # two cases at a radius off 1 and 3/2, a pure-H family and the degree-6
 # theorem ladder at a^2/r^2 = 28/9; last the degree-4 default K-family at
 # r = 3/2 twice, at a^2/r^2 = 3, a ratio solved above at r = 1, and at
-# a^2/r^2 = 2, a root of its pivot polynomial, where the generic pivots swap
+# a^2/r^2 = 2, a root of its pivot polynomial, where the generic pivots swap;
+# last two constraint ratios read off the top row: the Willmore rho = 2 of
+# degree 2, and a degree-5 K-family's 20/19 at r = 3/2 with its radii product
 CASES = (
     "solve --degree 3 --r 1",
     "solve --degree 4 --with-gauss --a2 3 --r 1",
@@ -43,6 +45,8 @@ CASES = (
     "solve --degree 6 --with-gauss --terms K,HK,H2K,H3K,H4K,K2,HK2,H2K2,K3 --a2 11767/3600 --r 41/40",
     "solve --degree 4 --with-gauss --a2 27/4 --r 3/2",
     "solve --degree 4 --with-gauss --a2 9/2 --r 3/2",
+    "solve --degree 2 --r 1",
+    "solve --degree 5 --with-gauss --terms K2,HK --r 3/2",
 )
 
 
