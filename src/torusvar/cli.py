@@ -40,8 +40,6 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 3
 EXIT_BAD_INPUT = 4
 
-_TERM_NAMES = {"K": (0, 1)}
-
 # the largest family residual, rows x columns, a --degree command may solve:
 # pure-H degree 360, or degree 78 with the default K terms
 MAX_FAMILY_CELLS = 2**17

@@ -4,14 +4,15 @@ The degree-n pure-H family is E_n = a1 H^n + a2 H^(n-1) + ... + a_{n+1},
 with the pressure p one more linear unknown.  Collecting the residual by
 powers of H gives n + 2 linear equations, each affine in 1 / (a^2/r^2) with
 integer coefficients once the unknowns are normalized by powers of r (see
-:class:`torusvar.shape_equation.ResidualRows`); the top row involves only a1
-and fixes the aspect ratio
+:class:`torusvar.shape_equation.ResidualRows`); the top row involves only a1,
+with entries U = -4(n-1)(n^2-n-1) and V = 4n(n-1)^2, and fixes the aspect ratio
 
-    a^2 / r^2 = (n^2 - n) / (n^2 - n - 1),    n >= 2,
+    a^2 / r^2 = -V / U = (n^2 - n) / (n^2 - n - 1),    n >= 2,
 
 after which the rest solves as an exact parametrized family.  Adding Gaussian
 curvature terms K^m H^k (m >= 1) contributes extra unknowns that remove the
-ratio constraint; those solves run at fixed radii.
+ratio constraint; those solves run at fixed radii.  A reduced term set whose
+top row still involves a1 alone keeps the pure-H ratio.
 
 Nothing in a family's rows depends on r, so each family's rows are built
 once per process.  A family at its constraint ratio is reduced there once,
@@ -212,12 +213,13 @@ def _reduce_at(rows: ResidualRows, order: tuple[str, ...], ratio: Fraction | Non
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
 def _constrained(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Fraction | None, ReducedRows]:
     """The aspect ratio a^2/r^2 at which the top row H^(n+1) of a degree-n
-    family vanishes, if it involves a1 alone, and the rows reduced there.
-    None when the top row vanishes identically: the rows are then read from
-    U alone, which needs their V part to vanish (critical at every ratio)."""
+    family vanishes, and the rows reduced there.  For n >= 2 that row must
+    involve a1 alone, whose entries U, V fix rho = -V/U > 1 (see above); for
+    n = 1 the V part is empty, so the ratio is None and the rows are read
+    from U alone (critical at every ratio)."""
     _, rows, order = _family(n, kterms)
     ratio = None
-    if n + 1 < len(rows.u):
+    if n > 1:
         u_row, v_row = rows.u[n + 1], rows.v[n + 1]
         involved = {name for name, x, y in zip(rows.coefficients, u_row, v_row) if x or y}
         extra = involved - {"a1"}
@@ -227,15 +229,7 @@ def _constrained(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Fraction 
                 + ", ".join(sorted(extra))
             )
         a1 = rows.coefficients.index("a1")
-        u, v = u_row[a1], v_row[a1]
-        if u == 0 and v != 0:
-            raise ValueError("top residual row forces a1 = 0 instead of a radius constraint")
-        if u:
-            ratio = Fraction(-v, u)
-            if ratio <= 1:
-                raise ValueError(f"radius constraint {ratio} is not realizable with a > r")
-    if ratio is None and any(map(any, rows.v)):
-        raise ValueError("the rows depend on the radii but the top row fixes no ratio; provide a2")
+        ratio = Fraction(-v_row[a1], u_row[a1])
     return ratio, _reduce_at(rows, order, ratio)
 
 

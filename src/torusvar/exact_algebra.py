@@ -8,8 +8,8 @@ comparison here.  Four layers are provided.
   indexed so that ``coeffs[k]`` multiplies ``x**k``.  Trailing zeros are
   trimmed, the zero polynomial has an empty coefficient tuple.  It is the
   value type of the closed forms and of the exact residual, which are
-  built from integer tables; it holds no ring arithmetic, only scaling and
-  float evaluation.
+  built from integer tables; it holds no arithmetic, only float
+  evaluation.
 * ``LinearForm`` -- a sparse linear expression ``sum_i c_i * x_i + const``
   over named unknowns: the rows of a residual system and the solved
   assignments, read by coefficient or evaluated at given values.
@@ -97,10 +97,6 @@ class HPoly:
         return HPoly(tuple(coeffs))
 
     @staticmethod
-    def zero() -> "HPoly":
-        return HPoly(())
-
-    @staticmethod
     def monomial(power: int) -> "HPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
@@ -114,12 +110,6 @@ class HPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def scale(self, factor) -> "HPoly":
-        factor = _as_fraction(factor)
-        if factor == 0:
-            return HPoly.zero()
-        return HPoly(tuple(c * factor for c in self.coeffs))
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in floats; x may be a numpy array of samples."""

@@ -67,6 +67,8 @@ LAPLACIAN_H: IntTable = ((2, -8, 10, -4), (-4, 12, -12, 4))
 GRAD_H_SQUARED: IntTable = ((-1, 6, -13, 12, -4), (4, -16, 24, -16, 4))
 # weight 4
 DIVBAR_H: IntTable = ((-4, 24, -52, 48, -16), (12, -52, 84, -60, 16))
+# weight 5: r^2 K = 2 x - 1, so div_bar(K) = (2 / r) div_bar(H)
+DIVBAR_K: IntTable = ((-8, 48, -104, 96, -32), (24, -104, 168, -120, 32))
 # the bilinear remainder r K |grad H|^2 = K_HAT * GRAD_H_SQUARED, weight 5
 BILINEAR: IntTable = ((1, -8, 25, -38, 28, -8), (-4, 24, -56, 64, -36, 8))
 
@@ -214,7 +216,7 @@ def divbar_h(t: ExactTorus) -> HPoly:
 
 def divbar_k(t: ExactTorus) -> HPoly:
     """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H."""
-    return divbar_h(t).scale(2 / t.r)
+    return _on_torus(t, DIVBAR_K, 5)
 
 
 def divbar_bilinear(t: ExactTorus) -> HPoly:

@@ -17,7 +17,7 @@ from torusvar.critical_solver import (
 )
 from torusvar.exact_algebra import LinearForm, solve_linear_system
 from torusvar.h_calculus import ExactTorus
-from torusvar.shape_equation import Lagrangian, el_system
+from torusvar.shape_equation import Lagrangian, el_system, residual_column
 
 from oracles import constraint_ratio, gauss_jordan, monomial_residual, substitute
 
@@ -47,6 +47,38 @@ def test_constraint_ratio_monotone_decreasing_to_one():
 def test_constraint_ratio_rejects_low_degree():
     with pytest.raises(ValueError):
         constraint_ratio(1)
+
+
+def test_a1_top_row_entries_fix_a_realizable_ratio():
+    # the solver reads the ratio as -V/U off these two entries; both are
+    # nonzero and -V/U > 1, so no top row of a1 forces a1 = 0 or a <= r
+    for n in range(2, 80):
+        u, v = residual_column(n, 0)
+        assert len(u) == len(v) == n + 2
+        assert u[-1] == -4 * (n - 1) * (n * n - n - 1)
+        assert v[-1] == 4 * n * (n - 1) ** 2
+        assert Fraction(-v[-1], u[-1]) == constraint_ratio(n) > 1
+    # degree 1 has no V part, so its family is read from U alone
+    assert residual_column(1, 0)[1] == residual_column(0, 0)[1] == ()
+
+
+def test_every_small_ladder_subset_either_keeps_the_ratio_or_names_the_extra_unknowns():
+    # every 1- to 3-term subset of the n = 2..7 theorem ladders, in both term
+    # orders: the top row either involves a1 alone or raises the one error
+    outcomes = {"ratio": 0, "raised": 0}
+    for n in range(2, 8):
+        for size in (1, 2, 3):
+            for subset in combinations(theorem_kterms(n), size):
+                for terms in dict.fromkeys((subset, subset[::-1])):
+                    try:
+                        report = solve_with_gauss(n, 1, terms)
+                    except ValueError as exc:
+                        assert str(exc).startswith("no pure radius constraint: the top residual row also involves ")
+                        outcomes["raised"] += 1
+                    else:
+                        assert report.constraint == Fraction(n * n - n, n * n - n - 1)
+                        outcomes["ratio"] += 1
+    assert outcomes == {"ratio": 685, "raised": 253}
 
 
 def test_first_order_family():

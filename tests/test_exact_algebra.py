@@ -33,14 +33,10 @@ def test_mul_of_monomials():
     assert multiply(h, h) == (0, 0, 1)
 
 
-def test_scale_distributes():
-    assert HPoly.of([2, -4]).scale(Fraction(1, 2)).coeffs == (1, -2)
-
-
 def test_trailing_zeros_trimmed_and_zero_poly_empty():
     assert HPoly.of([1, 0, 0]).coeffs == (1,)
     assert HPoly.of([0, 0]).is_zero
-    assert HPoly.zero().degree == -1
+    assert HPoly().degree == -1
 
 
 def test_eval_hand_sum():
@@ -48,7 +44,7 @@ def test_eval_hand_sum():
 
 
 def test_eval_zero_poly():
-    assert evaluate(HPoly.zero().coeffs, 7) == 0
+    assert evaluate(HPoly().coeffs, 7) == 0
 
 
 def test_eval_square():

@@ -83,7 +83,7 @@ def test_k_vanishes_on_top_circle():
 def test_weingarten_identity_exact_in_h():
     for t in random_exact_tori(5, seed=2):
         k = k_as_hpoly(t)
-        identity = add(k.scale(t.r2).coeffs, (1, -2 * t.r))
+        identity = add(scale(k.coeffs, t.r2), (1, -2 * t.r))
         assert identity == ()
 
 
@@ -149,7 +149,7 @@ def test_coefficients_use_only_even_powers_of_large_radius():
 
 def test_divbar_k_is_scaled_divbar_h():
     for t in random_exact_tori(5, seed=13):
-        assert divbar_k(t) == divbar_h(t).scale(Fraction(2) / t.r)
+        assert divbar_k(t).coeffs == scale(divbar_h(t).coeffs, Fraction(2) / t.r)
 
 
 def test_divbar_h_constant_term_clifford():
@@ -168,7 +168,7 @@ def test_bilinear_product_identity_exact():
         h2 = HPoly.monomial(2)
         lhs = divbar_poly(t, h2).coeffs
         two_h_divbar_h = multiply((0, 2), divbar_h(t).coeffs)
-        rhs = add(two_h_divbar_h, divbar_bilinear(t).scale(2).coeffs)
+        rhs = add(two_h_divbar_h, scale(divbar_bilinear(t).coeffs, 2))
         assert lhs == rhs
         recovered = scale(add(divbar_poly(t, h2).coeffs, scale(two_h_divbar_h, -1)), Fraction(1, 2))
         assert recovered == divbar_bilinear(t).coeffs
