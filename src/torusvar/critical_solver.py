@@ -32,10 +32,9 @@ rank allows it and reported families match a fixed convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import shape_equation
 from .exact_algebra import LinearForm, PencilReduction, ReducedRows, reduce_pencil, reduce_rows
@@ -107,8 +106,7 @@ def _pivot_order(n: int, n_kterms: int) -> tuple[str, ...]:
     return (PRESSURE, *kco, f"a{n + 1}", *(f"a{i}" for i in range(2, n + 1)), "a1")
 
 
-@dataclass(frozen=True)
-class DegeneracyInfo:
+class DegeneracyInfo(NamedTuple):
     """Raised rank structure at special radii: which factors of the radii
     polynomial vanished, and how the generic parametrization changed."""
 
@@ -116,8 +114,7 @@ class DegeneracyInfo:
     note: str
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Exact and grid-oracle verdicts for one family member.
 
     ``numeric_max_residual`` is the raw grid maximum; ``numeric_scale`` is the
@@ -134,8 +131,7 @@ class VerificationResult:
         return self.numeric_max_residual / self.numeric_scale
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     """Exact parametrized solution of one critical-point system."""
 
     degree: int

@@ -14,8 +14,7 @@ closed-form: ``torus_geometry.area_volume(t).reduced_volume``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Split of F = (area term) - p * (volume): both pieces plus the total.
 
     p is the inside-minus-outside pressure, the multiplier of -V that the
@@ -51,7 +49,6 @@ class EnergyReport:
     total: float
 
 
-@dataclass(frozen=True)
 class Perturbation:
     """Normal perturbation amplitude Omega(u) as a finite Fourier sum.
 
@@ -59,14 +56,13 @@ class Perturbation:
     sin(j u); the field is smooth and periodic by construction.
     """
 
-    cos_modes: Mapping[int, float] = field(default_factory=dict)
-    sin_modes: Mapping[int, float] = field(default_factory=dict)
+    __slots__ = ("cos_modes", "sin_modes")
 
-    def __post_init__(self):
-        for modes in (self.cos_modes, self.sin_modes):
-            for j in modes:
-                if j < 0:
-                    raise ValueError("mode indices must be nonnegative")
+    def __init__(self, cos_modes: Mapping[int, float] | None = None, sin_modes: Mapping[int, float] | None = None):
+        self.cos_modes = {} if cos_modes is None else cos_modes
+        self.sin_modes = {} if sin_modes is None else sin_modes
+        if any(j < 0 for modes in (self.cos_modes, self.sin_modes) for j in modes):
+            raise ValueError("mode indices must be nonnegative")
 
     def values(self, u: np.ndarray) -> np.ndarray:
         total = np.zeros_like(u)

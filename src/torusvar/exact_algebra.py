@@ -32,12 +32,11 @@ comparison here.  Four layers are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "HPoly",
@@ -79,8 +78,7 @@ def format_fraction(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class HPoly:
+class HPoly(NamedTuple):
     """Dense univariate polynomial over the rationals.
 
     ``coeffs[k]`` is the coefficient of the k-th power; the tuple carries no
@@ -122,7 +120,6 @@ class HPoly:
         return f"HPoly({[str(c) for c in self.coeffs]})"
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """Sparse linear expression over named unknowns, plus a rational constant.
 
@@ -130,21 +127,22 @@ class LinearForm:
     they are the same expression.
     """
 
-    terms: Mapping[str, Fraction] = field(default_factory=dict)
-    constant: Fraction = Fraction(0)
+    __slots__ = ("terms", "constant")
 
-    def __post_init__(self):
-        cleaned = {k: _as_fraction(v) for k, v in self.terms.items() if v != 0}
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "constant", _as_fraction(self.constant))
+    def __init__(self, terms: Mapping[str, Fraction] | None = None, constant: Fraction = _ZERO):
+        self.terms = {k: _as_fraction(v) for k, v in (terms or {}).items() if v != 0}
+        self.constant = _as_fraction(constant)
 
     @staticmethod
     def _of(terms: dict[str, Fraction], constant: Fraction) -> "LinearForm":
         """The form of nonzero Fraction ``terms`` and a Fraction ``constant``,
         taken as they are: the constructor's cleaning is skipped."""
         form = object.__new__(LinearForm)
-        form.__dict__.update(terms=terms, constant=constant)
+        form.terms, form.constant = terms, constant
         return form
+
+    def __eq__(self, other):
+        return type(other) is LinearForm and (self.terms, self.constant) == (other.terms, other.constant)
 
     @staticmethod
     def variable(name: str) -> "LinearForm":
@@ -175,8 +173,7 @@ class LinearForm:
         return f"LinearForm({self})"
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Outcome of an exact linear solve.
 
     ``assignments`` maps every unknown to a LinearForm over the free unknowns
@@ -201,8 +198,7 @@ def _cleared(vec: Sequence) -> list[int]:
     return vec if common == 1 else [v // common for v in vec]
 
 
-@dataclass(frozen=True)
-class ReducedRows:
+class ReducedRows(NamedTuple):
     """Coprime integer pivot rows, each cleared of every other pivot column.
 
     ``reduced`` holds (row, pivot column) from the last pivot to the first;

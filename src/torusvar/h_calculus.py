@@ -36,7 +36,6 @@ numpy; :mod:`torusvar.torus_geometry` re-exports them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -80,25 +79,21 @@ DEFAULT_GRID = 256
 MAX_GRID = 65536
 
 
-@dataclass(frozen=True)
 class TorusShape:
     """Torus radii, as floats, optionally backed by exact squared values."""
 
-    a: float
-    r: float
-    a2: Fraction | None = None
-    r2: Fraction | None = None
+    __slots__ = ("a", "r", "a2", "r2")
 
-    def __post_init__(self):
-        if not (self.a > self.r > 0):
-            raise ValueError(f"torus radii must satisfy a > r > 0, got a={self.a}, r={self.r}")
+    def __init__(self, a: float, r: float, a2: Fraction | None = None, r2: Fraction | None = None):
+        if not (a > r > 0):
+            raise ValueError(f"torus radii must satisfy a > r > 0, got a={a}, r={r}")
+        self.a, self.r, self.a2, self.r2 = a, r, a2, r2
 
     @staticmethod
     def from_squares(a2, r) -> "TorusShape":
-        """Build from exact a**2 and exact r (a itself may be irrational)."""
-        a2 = Fraction(a2)
-        r = Fraction(r)
-        return TorusShape(a=math.sqrt(a2), r=float(r), a2=a2, r2=r * r)
+        """Build from exact a**2 and exact r (a itself may be irrational),
+        checked on those exact values as :class:`ExactTorus` checks them."""
+        return ExactTorus(a2, r).to_shape()
 
     @staticmethod
     def from_ratio(ratio, r) -> "TorusShape":
@@ -112,16 +107,13 @@ class TorusShape:
         return (self.a / self.r) ** 2
 
 
-@dataclass(frozen=True)
 class ExactTorus:
     """Torus carried through exact data: rational a**2 and rational r."""
 
-    a2: Fraction
-    r: Fraction
+    __slots__ = ("a2", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a2", Fraction(self.a2))
-        object.__setattr__(self, "r", Fraction(self.r))
+    def __init__(self, a2: Fraction, r: Fraction):
+        self.a2, self.r = Fraction(a2), Fraction(r)
         if self.r <= 0 or self.a2 <= self.r * self.r:
             raise ValueError(f"need a^2 > r^2 and r > 0, got a^2={self.a2}, r={self.r}")
 
@@ -134,7 +126,7 @@ class ExactTorus:
         return self.a2 / self.r2
 
     def to_shape(self) -> TorusShape:
-        return TorusShape.from_squares(self.a2, self.r)
+        return TorusShape(a=math.sqrt(self.a2), r=float(self.r), a2=self.a2, r2=self.r2)
 
 
 # an integer polynomial x^shift * (c_0 + c_1 x + ...)

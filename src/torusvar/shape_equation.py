@@ -25,12 +25,11 @@ when it is called, so the exact route runs without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from . import h_calculus
 from .exact_algebra import HPoly, LinearForm
@@ -62,7 +61,6 @@ def _is_unknown(c: Coefficient) -> bool:
     return isinstance(c, str)
 
 
-@dataclass(frozen=True)
 class Lagrangian:
     """Sparse energy density: map (H power, K power) -> coefficient.
 
@@ -71,23 +69,23 @@ class Lagrangian:
     part of the linear system).
     """
 
-    terms: Mapping[tuple[int, int], Coefficient] = field(default_factory=dict)
-    pressure: Coefficient = Fraction(0)
+    __slots__ = ("terms", "pressure")
 
-    def __post_init__(self):
-        cleaned: dict[tuple[int, int], Coefficient] = {}
-        for (k, m), c in self.terms.items():
+    def __init__(self, terms: Mapping[tuple[int, int], Coefficient] | None = None, pressure: Coefficient = Fraction(0)):
+        self.terms: dict[tuple[int, int], Coefficient] = {}
+        for (k, m), c in (terms or {}).items():
             if k < 0 or m < 0:
                 raise ValueError(f"curvature exponents must be nonnegative, got ({k}, {m})")
             if _is_unknown(c):
-                cleaned[(k, m)] = c
+                self.terms[(k, m)] = c
             else:
                 c = Fraction(c)
                 if c != 0:
-                    cleaned[(k, m)] = c
-        object.__setattr__(self, "terms", cleaned)
-        if not _is_unknown(self.pressure):
-            object.__setattr__(self, "pressure", Fraction(self.pressure))
+                    self.terms[(k, m)] = c
+        self.pressure = pressure if _is_unknown(pressure) else Fraction(pressure)
+
+    def __eq__(self, other):
+        return type(other) is Lagrangian and (self.terms, self.pressure) == (other.terms, other.pressure)
 
     @staticmethod
     def pure_h(coeffs: Mapping[int, Coefficient], pressure: Coefficient = 0) -> "Lagrangian":
@@ -145,20 +143,15 @@ class Lagrangian:
             raise ValueError(f"Lagrangian still has unknowns: {self.unknowns}")
 
 
-@dataclass(frozen=True)
 class HelfrichParams:
     """Quadratic membrane model parameters: bending rigidity, spontaneous
     curvature, surface tension and pressure difference (inside minus
     outside, the multiplier of -V)."""
 
-    k_c: Fraction
-    c0: Fraction
-    w: Fraction
-    p: Fraction = Fraction(0)
+    __slots__ = ("k_c", "c0", "w", "p")
 
-    def __post_init__(self):
-        for name in ("k_c", "c0", "w", "p"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, k_c: Fraction, c0: Fraction, w: Fraction, p: Fraction = Fraction(0)):
+        self.k_c, self.c0, self.w, self.p = Fraction(k_c), Fraction(c0), Fraction(w), Fraction(p)
         if self.k_c == 0:
             raise ValueError("bending rigidity must be nonzero for a quadratic model")
 
@@ -221,8 +214,7 @@ def residual_column(i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(h_calculus.products_sum(u_pairs)), tuple(h_calculus.products_sum(v_pairs))
 
 
-@dataclass(frozen=True)
-class ResidualRows:
+class ResidualRows(NamedTuple):
     """A Lagrangian's residual rows, built once for every torus.
 
     Column k belongs to ``coefficients[k]``, the coefficient of one term

@@ -35,7 +35,7 @@ sharing changes no float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AreaVolume:
+class AreaVolume(NamedTuple):
     """Closed-form and quadrature area/volume, plus the reduced volume."""
 
     area: float

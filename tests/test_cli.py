@@ -636,6 +636,21 @@ def test_numbers_outside_the_float_range_are_bad_input(capsys, argv, name):
     assert f"{name}, outside the float range [2.225e-308, 1.798e+308]" in captured.err
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "256"]], ids=["suggested", "given"])
+@pytest.mark.parametrize("r, a2", [("19/3", "361/9"), ("38/3", "1444/9"), ("47/3", "2209/9")])
+@pytest.mark.parametrize(
+    "command",
+    [["energy", "--ratio", "1"], ["scan", "--ratios", "1"], ["second-variation", "--ratio", "1"]],
+    ids=lambda command: command[0],
+)
+def test_a_torus_with_a_equal_to_r_is_bad_input(capsys, command, r, a2, grid):
+    # a^2 = r^2 exactly, though at these r the float sqrt(a^2) reads above r
+    assert main([*command, "--degree", "2", "--r", r, *grid]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torusvar: error: need a^2 > r^2 and r > 0, got a^2={a2}, r={r}\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "argv, bad",

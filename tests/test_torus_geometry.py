@@ -58,6 +58,16 @@ def test_shape_validation():
         TorusShape(a=2.0, r=-1.0)
 
 
+@pytest.mark.parametrize("r", [Fraction(19, 3), Fraction(38, 3), Fraction(47, 3)])
+def test_a_equal_to_r_is_rejected_on_the_exact_values(r):
+    # rounded, these tori read a > r: the check must be made before the sqrt
+    assert math.sqrt(r * r) > float(r)
+    with pytest.raises(ValueError, match=rf"^need a\^2 > r\^2 and r > 0, got a\^2={r * r}, r={r}$"):
+        TorusShape.from_ratio(1, r)
+    with pytest.raises(ValueError, match=r"^need a\^2 > r\^2"):
+        TorusShape.from_squares(r * r, r)
+
+
 def test_outer_equator_metric_component():
     _, g22, _, _ = ref_fundamental_forms(T21, 0.0)
     assert g22 == pytest.approx(9.0)
