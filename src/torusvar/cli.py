@@ -101,16 +101,6 @@ def _fraction_or_none(value: Fraction | None) -> str | None:
     return None if value is None else format_fraction(value)
 
 
-def _grid(args, *shapes: TorusShape) -> dict:
-    """The one grid rule, as the JSON diagnostics block: --grid if given,
-    else the finest ``suggest_grid`` over the command's tori."""
-    from . import torus_geometry
-
-    if args.grid is not None:
-        return {"grid": args.grid, "grid_source": "--grid"}
-    return {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
-
-
 def _non_finite(value, path: str = "") -> list[str]:
     """``key.path = value`` for each float of a payload that is not finite."""
     if isinstance(value, float):
@@ -119,11 +109,13 @@ def _non_finite(value, path: str = "") -> list[str]:
     return [bad for key, item in items for bad in _non_finite(item, f"{path}.{key}" if path else str(key))]
 
 
-def _float_tori(r: Fraction, ratios: list[Fraction], member: Lagrangian) -> list[TorusShape]:
-    """The float tori at r and each a^2/r^2 in ``ratios``, under the one float
-    rule of the numeric commands: a^2, r^2 and every coefficient of the
-    evaluated ``member``, its pressure included, are 0 or normal floats (outside,
-    they would overflow or flush to 0)."""
+def _tori(args, r: Fraction, ratios: list[Fraction], member: Lagrangian) -> tuple[list[TorusShape], dict]:
+    """The float tori at r and each a^2/r^2 in ``ratios``, and the JSON
+    diagnostics block of the one grid rule: --grid if given, else the finest
+    ``suggest_grid`` over those tori.  First the one float rule of the numeric
+    commands: a^2, r^2 and every coefficient of the evaluated ``member``, its
+    pressure included, are 0 or normal floats (outside, they would overflow or
+    flush to 0); each torus then passes :meth:`ExactTorus.to_shape`."""
     values = [("r^2", r * r), *(("a^2", rho * r * r) for rho in ratios)]
     values += [*((f"the coefficient of H^{i} K^{j}", c) for (i, j), c in member.terms.items()), ("the pressure", member.pressure)]
     for name, value in values:
@@ -133,7 +125,12 @@ def _float_tori(r: Fraction, ratios: list[Fraction], member: Lagrangian) -> list
                 f"{name} is about 1e{exponent:.0f}, outside the float range "
                 f"[{sys.float_info.min:.4g}, {sys.float_info.max:.4g}] of the numeric commands"
             )
-    return [TorusShape.from_ratio(rho, r) for rho in ratios]
+    shapes = [TorusShape.from_ratio(rho, r) for rho in ratios]
+    from . import torus_geometry
+
+    if args.grid is not None:
+        return shapes, {"grid": args.grid, "grid_source": "--grid"}
+    return shapes, {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
 
 
 def _quiet_floats():
@@ -160,8 +157,9 @@ def _emit(payload: dict, text: str, args) -> None:
         sys.stdout.write(body)
 
 
-def _base_payload(command: str, **inputs) -> dict:
-    return {
+def _base_payload(command: str, diagnostics: dict | None = None, **inputs) -> dict:
+    """The keys every report has, and a numeric command's diagnostics block."""
+    payload = {
         "command": command,
         "inputs": inputs,
         "constraint": None,
@@ -171,6 +169,9 @@ def _base_payload(command: str, **inputs) -> dict:
         "residuals": None,
         "version": __version__,
     }
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
+    return payload
 
 
 def _family_size(args) -> tuple[int, int]:
@@ -240,10 +241,10 @@ def _solve_from_args(args) -> SolutionReport:
     return solve_pure_h(args.degree, r)
 
 
-def _solve_payload(command: str, args, report: SolutionReport, **inputs) -> dict:
+def _solve_payload(command: str, args, report: SolutionReport, diagnostics: dict | None = None, **inputs) -> dict:
     """The JSON of solve and verify: the solved family's keys at top level."""
     payload = _base_payload(
-        command, degree=args.degree, r=args.r, a2=args.a2, terms=args.terms,
+        command, diagnostics, degree=args.degree, r=args.r, a2=args.a2, terms=args.terms,
         with_gauss=args.with_gauss, **inputs,
     )
     degeneracy = None
@@ -303,7 +304,7 @@ def cmd_verify(args) -> int:
     report = _solve_from_args(args)
     torus = ExactTorus(_family_ratio(report) * report.r**2, report.r)
     values = _default_free_values(report)
-    diagnostics = _grid(args, *_float_tori(torus.r, [torus.ratio], report.lagrangian_at(values)))
+    _, diagnostics = _tori(args, torus.r, [torus.ratio], report.lagrangian_at(values))
     with _quiet_floats():
         result = verify_solution(torus, report, values, diagnostics["grid"])
     ok = result.exact and result.numeric_relative < args.tolerance
@@ -313,13 +314,12 @@ def cmd_verify(args) -> int:
         f"numeric relative residual: {_fmt_float(result.numeric_relative)}\n"
         f"tolerance (relative): {_fmt_float(args.tolerance)}\n"
     )
-    payload = _solve_payload("verify", args, report, grid=args.grid)
+    payload = _solve_payload("verify", args, report, diagnostics, grid=args.grid)
     payload["residuals"] = {
         "exact": result.exact,
         "numeric_max": float(_fmt_float(result.numeric_max_residual)),
         "numeric_relative": float(_fmt_float(result.numeric_relative)),
     }
-    payload["diagnostics"] = diagnostics
     _emit(payload, text, args)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
@@ -345,12 +345,11 @@ def _family_member(
 def cmd_energy(args) -> int:
     from .energetics import curvature_energy
 
-    r, a2 = parse_fraction(args.r), _exact(args.a2)
+    r = parse_fraction(args.r)
     lagrangian, constraint, ratio = _family_member(
-        args.degree, r, _exact(args.ratio) if a2 is None else a2 / (r * r)
+        args.degree, r, _exact(args.ratio) if args.a2 is None else ExactTorus(_exact(args.a2), r).ratio
     )
-    (t,) = _float_tori(r, [ratio], lagrangian)
-    diagnostics = _grid(args, t)
+    (t,), diagnostics = _tori(args, r, [ratio], lagrangian)
     grid = diagnostics["grid"]
     with _quiet_floats():
         report = curvature_energy(t, lagrangian, lagrangian.pressure, grid)
@@ -364,6 +363,7 @@ def cmd_energy(args) -> int:
     )
     payload = _base_payload(
         "energy",
+        diagnostics,
         degree=args.degree,
         r=args.r,
         a2=format_fraction(ratio * r * r),
@@ -371,7 +371,6 @@ def cmd_energy(args) -> int:
         grid=args.grid,
     )
     payload["constraint"] = _fraction_or_none(constraint)
-    payload["diagnostics"] = diagnostics
     payload["energy"] = {
         "area_term": float(_fmt_float(report.area_term)),
         "pressure_term": float(_fmt_float(report.pressure_term)),
@@ -415,7 +414,7 @@ def _identity_checks(torus: ExactTorus, n: int) -> list[tuple[str, float]]:
 
 def cmd_identities(args) -> int:
     torus = ExactTorus(parse_fraction(args.a2), parse_fraction(args.r))
-    diagnostics = _grid(args, *_float_tori(torus.r, [torus.ratio], Lagrangian()))
+    _, diagnostics = _tori(args, torus.r, [torus.ratio], Lagrangian())
     with _quiet_floats():
         checks = _identity_checks(torus, diagnostics["grid"])
     lines = []
@@ -424,12 +423,9 @@ def cmd_identities(args) -> int:
         status = "ok" if err < args.tolerance else "FAIL"
         worst = max(worst, err)
         lines.append(f"{name:<18} {_fmt_float(err):<12} {status}")
-    payload = _base_payload(
-        "identities", a2=args.a2, r=args.r, grid=args.grid
-    )
+    payload = _base_payload("identities", diagnostics, a2=args.a2, r=args.r, grid=args.grid)
     payload["residuals"] = {"numeric_max": float(_fmt_float(worst))}
     payload["checks"] = {name: float(_fmt_float(err)) for name, err in checks}
-    payload["diagnostics"] = diagnostics
     _emit(payload, "\n".join(lines) + "\n", args)
     return EXIT_OK if worst < args.tolerance else EXIT_TOLERANCE
 
@@ -443,8 +439,7 @@ def cmd_scan(args) -> int:
     else:
         ratios = [Fraction(num, 20) for num in range(24, 81, 4)]
     lagrangian, _, _ = _family_member(args.degree, r, None)
-    shapes = _float_tori(r, ratios, lagrangian)
-    diagnostics = _grid(args, *shapes)
+    shapes, diagnostics = _tori(args, r, ratios, lagrangian)
     with _quiet_floats():
         rows = [
             (rho, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
@@ -453,13 +448,10 @@ def cmd_scan(args) -> int:
     lines = [f"{'a^2/r^2':<12} energy/a1"]
     for rho, value in rows:
         lines.append(f"{format_fraction(rho):<12} {_fmt_float(value)}")
-    payload = _base_payload(
-        "scan", degree=args.degree, r=args.r, grid=args.grid
-    )
+    payload = _base_payload("scan", diagnostics, degree=args.degree, r=args.r, grid=args.grid)
     payload["scan"] = [
         {"ratio": format_fraction(rho), "energy": float(_fmt_float(v))} for rho, v in rows
     ]
-    payload["diagnostics"] = diagnostics
     _emit(payload, "\n".join(lines) + "\n", args)
     return EXIT_OK
 
@@ -490,8 +482,7 @@ def cmd_second_variation(args) -> int:
     omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
     lagrangian, _, ratio = _family_member(args.degree, r, _exact(args.ratio))
-    (t,) = _float_tori(r, [ratio], lagrangian)
-    diagnostics = _grid(args, t)
+    (t,), diagnostics = _tori(args, r, [ratio], lagrangian)
     grid = diagnostics["grid"]
     top = max((*modes["cos"], *modes["sin"]))
     if top >= grid // 4:
@@ -505,6 +496,7 @@ def cmd_second_variation(args) -> int:
     )
     payload = _base_payload(
         "second-variation",
+        diagnostics,
         degree=args.degree,
         r=args.r,
         ratio=format_fraction(ratio),
@@ -512,7 +504,6 @@ def cmd_second_variation(args) -> int:
         grid=args.grid,
     )
     payload["energy"] = {"total": float(_fmt_float(value))}
-    payload["diagnostics"] = diagnostics
     _emit(payload, text, args)
     return EXIT_OK
 

@@ -208,11 +208,12 @@ def _reduce_at(rows: ResidualRows, order: tuple[str, ...], ratio: Fraction | Non
 
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
 def _constrained(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Fraction | None, ReducedRows]:
-    """The aspect ratio a^2/r^2 at which the top row H^(n+1) of a degree-n
+    """The aspect ratio a^2/r^2 at which the row H^(n+1) of a degree-n
     family vanishes, and the rows reduced there.  For n >= 2 that row must
-    involve a1 alone, whose entries U, V fix rho = -V/U > 1 (see above); for
-    n = 1 the V part is empty, so the ratio is None and the rows are read
-    from U alone (critical at every ratio)."""
+    involve a1 alone, whose entries U, V fix rho = -V/U > 1 (see above); the
+    error names the top row too when a K term H^i K^j with i + j >= n
+    reaches above it.  For n = 1 the V part is empty, so the ratio is None
+    and the rows are read from U alone (critical at every ratio)."""
     _, rows, order = _family(n, kterms)
     ratio = None
     if n > 1:
@@ -220,10 +221,9 @@ def _constrained(n: int, kterms: tuple[tuple[int, int], ...]) -> tuple[Fraction 
         involved = {name for name, x, y in zip(rows.coefficients, u_row, v_row) if x or y}
         extra = involved - {"a1"}
         if extra:
-            raise ValueError(
-                "no pure radius constraint: the top residual row also involves "
-                + ", ".join(sorted(extra))
-            )
+            top = len(rows.u) - 1
+            where = "the top residual row" if top == n + 1 else f"row H^{n + 1} (the rows reach H^{top})"
+            raise ValueError(f"no pure radius constraint: {where} also involves " + ", ".join(sorted(extra)))
         a1 = rows.coefficients.index("a1")
         ratio = Fraction(-v_row[a1], u_row[a1])
     return ratio, _reduce_at(rows, order, ratio)
@@ -240,25 +240,24 @@ def _pencil(n: int, kterms: tuple[tuple[int, int], ...]) -> PencilReduction:
 def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport:
     """The degree-n family with K terms ``kterms`` at small radius r, solved
     on the integer rows num U + den V of its unknowns normalized by r^-weight
-    at rho = num / den: a2 / r^2 if ``a2`` is given, else the root of the top
-    row (the constraint).  r enters only as the column weights that return
+    at rho = num / den: that of ``ExactTorus(a2, r)``, under its radius rule,
+    if ``a2`` is given, else the root of the top row (the constraint), where
+    r > 0 is the one check.  r enters only as the column weights that return
     the assignments in c = r^weight c_normalized, so a constraint family is
     reduced once and a new radius only rescales it; at given radii the rows
     are read off the family's reduction over Z[rho], and reduced at rho only
     where its pivot polynomial vanishes."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
     _, rows, order = _family(n, kterms)
     if a2 is None:
+        r = Fraction(r)
+        if r <= 0:
+            raise ValueError(f"need r > 0, got r={r}")
         constraint, reduced = _constrained(n, kterms)
         a2 = None if constraint is None else constraint * r * r
     else:
-        constraint, a2 = None, Fraction(a2)
-        if a2 <= r * r:
-            raise ValueError("need a^2 > r^2")
-        ratio = a2 / (r * r)
-        reduced = _pencil(n, kterms).at(ratio) or _reduce_at(rows, order, ratio)
+        t = ExactTorus(a2, r)
+        constraint, r, a2 = None, t.r, t.a2
+        reduced = _pencil(n, kterms).at(t.ratio) or _reduce_at(rows, order, t.ratio)
     solution = reduced.solution(r, rows.weights)
 
     delta = None
@@ -302,8 +301,6 @@ def solve_pure_h(n: int, r) -> SolutionReport:
     solved at that ratio; for n = 1 the 1/rho part vanishes, so there is no
     restriction on the radii and the family is radius-independent.
     """
-    if n < 1:
-        raise ValueError("polynomial degree must be >= 1")
     return _solve(n, (), r, None)
 
 

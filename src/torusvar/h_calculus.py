@@ -27,10 +27,12 @@ Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
 constrained tori have irrational a).
 
-The float torus :class:`TorusShape` and the grid constants ``DEFAULT_GRID``
-and ``MAX_GRID`` are defined here too, beside :class:`ExactTorus`, so that
-the exact path (solve, the closed forms, the residual columns) never loads
-numpy; :mod:`torusvar.torus_geometry` re-exports them.
+Every torus built from exact radii goes through :class:`ExactTorus`, the one
+check of the rule a^2 > r^2 > 0 on exact values.  The float torus
+:class:`TorusShape` and the grid constants ``DEFAULT_GRID`` and ``MAX_GRID``
+are defined here too, beside :class:`ExactTorus`, so that the exact path
+(solve, the closed forms, the residual columns) never loads numpy;
+:mod:`torusvar.torus_geometry` re-exports them.
 """
 
 from __future__ import annotations
@@ -90,17 +92,10 @@ class TorusShape:
         self.a, self.r, self.a2, self.r2 = a, r, a2, r2
 
     @staticmethod
-    def from_squares(a2, r) -> "TorusShape":
-        """Build from exact a**2 and exact r (a itself may be irrational),
-        checked on those exact values as :class:`ExactTorus` checks them."""
-        return ExactTorus(a2, r).to_shape()
-
-    @staticmethod
     def from_ratio(ratio, r) -> "TorusShape":
-        """Build from the aspect ratio a**2/r**2 and exact r."""
-        ratio = Fraction(ratio)
+        """Build from the aspect ratio a**2/r**2 and exact r, as an ExactTorus."""
         r = Fraction(r)
-        return TorusShape.from_squares(ratio * r * r, r)
+        return ExactTorus(Fraction(ratio) * r * r, r).to_shape()
 
     @property
     def ratio(self) -> float:
@@ -108,7 +103,8 @@ class TorusShape:
 
 
 class ExactTorus:
-    """Torus carried through exact data: rational a**2 and rational r."""
+    """Torus carried through exact data: rational a**2 and rational r, checked
+    a^2 > r^2 > 0; :meth:`to_shape` also rejects radii that round to a <= r."""
 
     __slots__ = ("a2", "r")
 
@@ -126,7 +122,10 @@ class ExactTorus:
         return self.a2 / self.r2
 
     def to_shape(self) -> TorusShape:
-        return TorusShape(a=math.sqrt(self.a2), r=float(self.r), a2=self.a2, r2=self.r2)
+        a, r = math.sqrt(self.a2), float(self.r)
+        if not a > r > 0:
+            raise ValueError(f"a^2/r^2 = {self.ratio} does not give a > r > 0 in floats: the radii round to a={a}, r={r}")
+        return TorusShape(a=a, r=r, a2=self.a2, r2=self.r2)
 
 
 # an integer polynomial x^shift * (c_0 + c_1 x + ...)

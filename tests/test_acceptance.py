@@ -434,7 +434,7 @@ def test_second_variation_matches_the_functional_at_the_helfrich_member():
     lag = solve_pure_h(2, r).lagrangian_at({"a1": 2 * k_c, "a2": 2 * k_c * c0})
     a2 = 2 * r * r
     a, n = math.sqrt(a2), 512
-    shape = TorusShape.from_squares(a2, r)
+    shape = ExactTorus(a2, r).to_shape()
     for j in range(4):
         second = second_difference(lag, pressure, a, float(r), j, n)
         form = second_variation(shape, lag, float(pressure), Perturbation({j: 1.0}), n)

@@ -678,3 +678,51 @@ def test_with_gauss_at_degree_two_asks_for_terms(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--with-gauss: degree 2 has no default K terms; name them with --terms" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--degree", "2", "--terms", "K2"], "row H^3 (the rows reach H^4) also involves a4"),
+        (["--degree", "3", "--terms", "K3"], "row H^4 (the rows reach H^5) also involves a5"),
+        # the default degree-4 terms stop at row H^5, the top row
+        (["--degree", "4"], "the top residual row also involves a8"),
+    ],
+)
+def test_a_constraint_error_names_the_rows_it_read(capsys, argv, message):
+    assert main(["solve", "--with-gauss", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torusvar: error: no pure radius constraint: {message}\n"
+
+
+NEAR_ONE = "1000000000000000001/1000000000000000000"
+RADIUS_RULE = "need a^2 > r^2 and r > 0, got a^2={}, r={}"
+FLOAT_RULE = f"a^2/r^2 = {NEAR_ONE} does not give a > r > 0 in floats: the radii round to a=1.0, r=1.0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--degree", "4", "--with-gauss", "--a2", "1"], RADIUS_RULE.format(1, 1)),
+        (["verify", "--degree", "4", "--with-gauss", "--a2", "1"], RADIUS_RULE.format(1, 1)),
+        (["identities", "--a2", "1"], RADIUS_RULE.format(1, 1)),
+        (["energy", "--degree", "2", "--ratio", "1"], RADIUS_RULE.format(1, 1)),
+        (["second-variation", "--degree", "2", "--ratio", "1"], RADIUS_RULE.format(1, 1)),
+        (["scan", "--ratios", "1"], RADIUS_RULE.format(1, 1)),
+        (["energy", "--degree", "2", "--a2", "3", "--r", "0"], RADIUS_RULE.format(3, 0)),
+        (["solve", "--degree", "4", "--with-gauss", "--a2", "3", "--r", "-1"], RADIUS_RULE.format(3, -1)),
+        # a family solved at its own ratio has no a^2 to check
+        (["solve", "--degree", "2", "--r", "-1"], "need r > 0, got r=-1"),
+        *(
+            ([*command, NEAR_ONE, *grid], FLOAT_RULE)
+            for command in (["energy", "--degree", "2", "--ratio"], ["scan", "--ratios"], ["second-variation", "--degree", "2", "--ratio"])
+            for grid in ([], ["--grid", "256"])
+        ),
+    ],
+)
+def test_each_radius_rule_has_one_message_across_the_commands(capsys, argv, message):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torusvar: error: {message}\n"

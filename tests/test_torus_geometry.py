@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusvar.h_calculus import ExactTorus
 from torusvar.torus_geometry import (
     MAX_GRID,
     TorusShape,
@@ -65,7 +66,21 @@ def test_a_equal_to_r_is_rejected_on_the_exact_values(r):
     with pytest.raises(ValueError, match=rf"^need a\^2 > r\^2 and r > 0, got a\^2={r * r}, r={r}$"):
         TorusShape.from_ratio(1, r)
     with pytest.raises(ValueError, match=r"^need a\^2 > r\^2"):
-        TorusShape.from_squares(r * r, r)
+        ExactTorus(r * r, r).to_shape()
+
+
+@pytest.mark.parametrize(
+    "ratio, r, rounded",
+    [
+        (Fraction(10**18 + 1, 10**18), 1, "a=1.0, r=1.0"),
+        # radii below the smallest float round to 0
+        (2, Fraction(1, 10**400), "a=0.0, r=0.0"),
+    ],
+)
+def test_radii_that_round_to_a_not_above_r_are_rejected_with_the_exact_ratio(ratio, r, rounded):
+    message = rf"^a\^2/r\^2 = {ratio} does not give a > r > 0 in floats: the radii round to {rounded}$"
+    with pytest.raises(ValueError, match=message):
+        TorusShape.from_ratio(ratio, r)
 
 
 def test_outer_equator_metric_component():
@@ -170,7 +185,7 @@ def test_reduced_volume_clifford():
 
 
 def test_exact_square_construction():
-    t = TorusShape.from_squares(Fraction(6, 5), 1)
+    t = ExactTorus(Fraction(6, 5), 1).to_shape()
     assert t.a2 == Fraction(6, 5)
     assert t.a == pytest.approx(math.sqrt(1.2), rel=1e-15)
 
