@@ -9,18 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from torusvar import (
-    ExactTorus,
-    TorusShape,
-    area_volume,
-    curvatures,
-    divbar_h,
-    divbar_numeric,
-    grad_h_squared,
-    laplacian_h,
-    lb_numeric,
-)
-from torusvar.torus_geometry import grid_nodes
+from torusvar.h_calculus import ExactTorus, TorusShape, divbar_h, grad_h_squared, laplacian_h
+from torusvar.torus_geometry import area_volume, curvatures, divbar_numeric, grid_nodes, lb_numeric
 
 t = TorusShape(a=2.0, r=1.0)
 print("torus a=2, r=1")

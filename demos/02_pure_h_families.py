@@ -9,8 +9,9 @@ spectral-grid residual.
 
 from fractions import Fraction
 
-from torusvar import ExactTorus, solve_pure_h, verify_solution
+from torusvar.critical_solver import solve_pure_h, verify_solution
 from torusvar.exact_algebra import format_fraction
+from torusvar.h_calculus import ExactTorus
 
 
 def show(form):

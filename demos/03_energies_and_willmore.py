@@ -10,7 +10,9 @@ value 2 pi^2.
 import math
 from fractions import Fraction
 
-from torusvar import TorusShape, curvature_energy, solve_pure_h, willmore_scan
+from torusvar.critical_solver import solve_pure_h
+from torusvar.energetics import curvature_energy, willmore_scan
+from torusvar.h_calculus import TorusShape
 
 PI2 = math.pi**2
 closed_forms = {

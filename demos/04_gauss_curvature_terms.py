@@ -9,7 +9,7 @@ dropping the H^2 K term reinstates the pure-degree-4 ratio 12/11.
 
 from fractions import Fraction
 
-from torusvar import solve_with_gauss, verify_solution
+from torusvar.critical_solver import solve_with_gauss, verify_solution
 from torusvar.exact_algebra import format_fraction
 
 

@@ -11,14 +11,10 @@ relation to the sphericity parameter used for vesicles.
 import math
 from fractions import Fraction
 
-from torusvar import (
-    HelfrichParams,
-    TorusShape,
-    area_volume,
-    helfrich_lagrangian,
-    solve_pure_h,
-    sphere_residual,
-)
+from torusvar.critical_solver import solve_pure_h
+from torusvar.h_calculus import TorusShape
+from torusvar.shape_equation import helfrich_lagrangian, sphere_residual
+from torusvar.torus_geometry import area_volume
 
 k_c, c0 = Fraction(1), Fraction(1, 3)
 rep = solve_pure_h(2, 1)
@@ -31,10 +27,9 @@ print(f"  pressure  p = {pressure}   (equals -2 k_c c0 / r^2)")
 print(f"  tension   w = {w}   (equals p r (1 + r c0 / 4): {pressure * (1 + c0 / 4)})")
 
 print("\nsphere criticality (k_c=1, c0=-2, w=1, p=2):")
-params = HelfrichParams(k_c=1, c0=Fraction(-2), w=Fraction(1), p=Fraction(2))
-lag = helfrich_lagrangian(params)
+lag = helfrich_lagrangian(k_c=1, c0=Fraction(-2), w=Fraction(1), p=Fraction(2))
 for radius in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3)):
-    res = sphere_residual(radius, lag, params.p)
+    res = sphere_residual(radius, lag)
     print(f"  R = {radius}: residual {res}{'  (critical)' if res == 0 else ''}")
 
 print("\nreduced volume v and the aspect ratio 1/((16 pi^2/81) v^4) it implies:")

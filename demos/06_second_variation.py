@@ -5,7 +5,9 @@ perturbation, axisymmetric and azimuthal, and demonstrates the quadratic
 structure (parallelogram law) plus grid self-convergence.
 """
 
-from torusvar import Lagrangian, Perturbation, TorusShape, second_variation
+from torusvar.energetics import Perturbation, second_variation
+from torusvar.h_calculus import TorusShape
+from torusvar.shape_equation import Lagrangian
 
 t = TorusShape.from_ratio(2, 1)
 bending = Lagrangian.pure_h({2: 1})

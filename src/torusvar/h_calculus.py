@@ -38,6 +38,7 @@ are defined here too, beside :class:`ExactTorus`, so that the exact path
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -47,6 +48,7 @@ from .exact_algebra import HPoly
 __all__ = [
     "ExactTorus",
     "TorusShape",
+    "check_float_range",
     "k_as_hpoly",
     "laplacian_h",
     "grad_h_squared",
@@ -68,8 +70,6 @@ LAPLACIAN_H: IntTable = ((2, -8, 10, -4), (-4, 12, -12, 4))
 GRAD_H_SQUARED: IntTable = ((-1, 6, -13, 12, -4), (4, -16, 24, -16, 4))
 # weight 4
 DIVBAR_H: IntTable = ((-4, 24, -52, 48, -16), (12, -52, 84, -60, 16))
-# weight 5: r^2 K = 2 x - 1, so div_bar(K) = (2 / r) div_bar(H)
-DIVBAR_K: IntTable = ((-8, 48, -104, 96, -32), (24, -104, 168, -120, 32))
 # the bilinear remainder r K |grad H|^2 = K_HAT * GRAD_H_SQUARED, weight 5
 BILINEAR: IntTable = ((1, -8, 25, -38, 28, -8), (-4, 24, -56, 64, -36, 8))
 
@@ -79,6 +79,17 @@ DEFAULT_GRID = 256
 # largest grid suggest_grid returns (512 KiB per float field); aspect ratios
 # that need more are rejected rather than left to allocate GB-sized grids
 MAX_GRID = 65536
+
+
+def check_float_range(name: str, value: Fraction, where: str = "") -> None:
+    """Reject a ``value`` that is neither 0 nor a normal float, which would
+    overflow or flush to 0; the message names it and ends with ``where``."""
+    if value and not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise ValueError(
+            f"{name} is about 1e{exponent:.0f}, outside the float range "
+            f"[{sys.float_info.min:.4g}, {sys.float_info.max:.4g}]{where}"
+        )
 
 
 class TorusShape:
@@ -104,7 +115,8 @@ class TorusShape:
 
 class ExactTorus:
     """Torus carried through exact data: rational a**2 and rational r, checked
-    a^2 > r^2 > 0; :meth:`to_shape` also rejects radii that round to a <= r."""
+    a^2 > r^2 > 0; :meth:`to_shape` also rejects an a^2 or r^2 outside the
+    float range, and radii that round to a <= r."""
 
     __slots__ = ("a2", "r")
 
@@ -122,6 +134,8 @@ class ExactTorus:
         return self.a2 / self.r2
 
     def to_shape(self) -> TorusShape:
+        check_float_range("r^2", self.r2)
+        check_float_range("a^2", self.a2)
         a, r = math.sqrt(self.a2), float(self.r)
         if not a > r > 0:
             raise ValueError(f"a^2/r^2 = {self.ratio} does not give a > r > 0 in floats: the radii round to a={a}, r={r}")
@@ -207,7 +221,7 @@ def divbar_h(t: ExactTorus) -> HPoly:
 
 def divbar_k(t: ExactTorus) -> HPoly:
     """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H."""
-    return _on_torus(t, DIVBAR_K, 5)
+    return divbar_poly(t, k_as_hpoly(t))
 
 
 def divbar_bilinear(t: ExactTorus) -> HPoly:

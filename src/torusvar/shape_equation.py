@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Coefficient",
     "Lagrangian",
-    "HelfrichParams",
     "helfrich_lagrangian",
     "ResidualRows",
     "residual_column",
@@ -143,30 +142,18 @@ class Lagrangian:
             raise ValueError(f"Lagrangian still has unknowns: {self.unknowns}")
 
 
-class HelfrichParams:
-    """Quadratic membrane model parameters: bending rigidity, spontaneous
-    curvature, surface tension and pressure difference (inside minus
-    outside, the multiplier of -V)."""
-
-    __slots__ = ("k_c", "c0", "w", "p")
-
-    def __init__(self, k_c: Fraction, c0: Fraction, w: Fraction, p: Fraction = Fraction(0)):
-        self.k_c, self.c0, self.w, self.p = Fraction(k_c), Fraction(c0), Fraction(w), Fraction(p)
-        if self.k_c == 0:
-            raise ValueError("bending rigidity must be nonzero for a quadratic model")
-
-
-def helfrich_lagrangian(params: HelfrichParams) -> Lagrangian:
-    """Expand the quadratic membrane density (k_c/2)(2H + c0)^2 + w.
+def helfrich_lagrangian(k_c: Fraction, c0: Fraction, w: Fraction, p: Fraction = 0) -> Lagrangian:
+    """The quadratic membrane model (k_c/2)(2H + c0)^2 + w, with bending
+    rigidity k_c, spontaneous curvature c0, surface tension w and pressure
+    difference p (inside minus outside, the multiplier of -V).
 
     The H^2 coefficient of this expansion is 2 k_c; the H coefficient is
     2 k_c c0; the constant is k_c c0^2 / 2 + w.
     """
-    k_c, c0, w = params.k_c, params.c0, params.w
-    return Lagrangian.pure_h(
-        {2: 2 * k_c, 1: 2 * k_c * c0, 0: Fraction(1, 2) * k_c * c0 * c0 + w},
-        pressure=params.p,
-    )
+    k_c, c0, w = Fraction(k_c), Fraction(c0), Fraction(w)
+    if k_c == 0:
+        raise ValueError("bending rigidity must be nonzero for a quadratic model")
+    return Lagrangian.pure_h({2: 2 * k_c, 1: 2 * k_c * c0, 0: Fraction(1, 2) * k_c * c0 * c0 + w}, Fraction(p))
 
 
 # monomials whose residual tables are kept; a degree-24 family uses fewer
@@ -333,14 +320,14 @@ def el_residual_numeric_scaled(
     return residual, max(scale, 1.0)
 
 
-def sphere_residual(radius: Fraction, lagrangian: Lagrangian, pressure: Fraction) -> Fraction:
+def sphere_residual(radius: Fraction, lagrangian: Lagrangian) -> Fraction:
     """Exact residual on a sphere of the given radius.
 
     With H = 1/R and K = 1/R^2 constant, all derivative terms drop and the
     residual is the algebraic relation between the model parameters and R;
-    the sphere is critical exactly when it vanishes.  ``pressure`` is the
-    inside-minus-outside pressure, so the area functional (E = 1) is
-    critical at the Laplace pressure 2/R.
+    the sphere is critical exactly when it vanishes.  The Lagrangian's
+    pressure is the inside-minus-outside pressure, so the area functional
+    (E = 1) is critical at the Laplace pressure 2/R.
     """
     lagrangian._require_numeric()
     radius = Fraction(radius)
@@ -355,4 +342,4 @@ def sphere_residual(radius: Fraction, lagrangian: Lagrangian, pressure: Fraction
     eh = at(lagrangian.partial_h().terms)
     ek = at(lagrangian.partial_k().terms)
     density = at(lagrangian.terms)
-    return (4 * h * h - 2 * k) * eh + 2 * (2 * k * h) * ek - 4 * h * density + 2 * Fraction(pressure)
+    return (4 * h * h - 2 * k) * eh + 2 * (2 * k * h) * ek - 4 * h * density + 2 * lagrangian.pressure

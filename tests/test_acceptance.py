@@ -56,7 +56,6 @@ from torusvar.h_calculus import (
     laplacian_poly,
 )
 from torusvar.shape_equation import (
-    HelfrichParams,
     Lagrangian,
     el_residual,
     helfrich_lagrangian,
@@ -380,19 +379,15 @@ def test_acceptance_6a_helfrich_relations_and_sphere():
     # when p - 2wH + k_c (2H + c0)(2H^2 - c0 H - 2K) vanishes at H = 1/R
     rng = random.Random(66)
     for _ in range(12):
-        params = HelfrichParams(
-            k_c=Fraction(rng.randint(1, 5), rng.randint(1, 2)),
-            c0=Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            w=Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            p=Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
+        k_c = Fraction(rng.randint(1, 5), rng.randint(1, 2))
+        c0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        w = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        p = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         radius = Fraction(rng.randint(1, 6), rng.randint(1, 2))
         h = 1 / radius
         k = h * h
-        relation = params.p - 2 * params.w * h + params.k_c * (2 * h + params.c0) * (
-            2 * h * h - params.c0 * h - 2 * k
-        )
-        residual = sphere_residual(radius, helfrich_lagrangian(params), params.p)
+        relation = p - 2 * w * h + k_c * (2 * h + c0) * (2 * h * h - c0 * h - 2 * k)
+        residual = sphere_residual(radius, helfrich_lagrangian(k_c, c0, w, p))
         assert residual == 2 * relation
         assert (residual == 0) == (relation == 0)
     report("6a: PASS - tension relation w = p r (1 + r c0/4) exact with the solved "

@@ -8,9 +8,9 @@ commands, run the same way, do load numpy, so the probe is not vacuous.
 The same steps add neither ``dataclasses`` nor ``inspect`` to the modules
 the interpreter had loaded when the probe started.  numpy loads
 ``inspect`` itself, so the numeric commands are outside that check.
+``import torusvar`` itself loads no submodule at all.
 """
 
-import importlib
 import json
 import os
 import subprocess
@@ -41,7 +41,8 @@ def added():
     return [m for m in ("dataclasses", "inspect") if m in sys.modules and m not in BARE]
 
 import torusvar
-report = [{"step": "import torusvar", "loaded": loaded(), "added": added()}]
+submodules = [m for m in sys.modules if m.startswith("torusvar.")]
+report = [{"step": "import torusvar", "loaded": loaded(), "added": added(), "submodules": submodules}]
 from torusvar.cli import main
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
@@ -62,6 +63,7 @@ def probe(*steps: list[str]) -> list[dict]:
 
 def test_import_torusvar_loads_no_numeric_module():
     (first,) = probe()
+    assert first["submodules"] == []
     assert first["loaded"] == []
     assert first["added"] == []
 
@@ -94,15 +96,3 @@ def test_numeric_commands_load_numpy(argv):
     assert first["loaded"] == []
     assert step["code"] == 0
     assert "numpy" in step["loaded"]
-
-
-def test_every_root_name_is_its_modules_object():
-    assert torusvar.__all__[0] == "__version__"
-    for name in torusvar.__all__[1:]:
-        value = getattr(torusvar, name)
-        home = importlib.import_module(value.__module__)
-        assert home.__name__.startswith("torusvar."), name
-        assert value is getattr(home, name), name
-    assert set(torusvar.__all__) <= set(dir(torusvar))
-    with pytest.raises(AttributeError):
-        torusvar.no_such_name

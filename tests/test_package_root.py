@@ -1,5 +1,5 @@
-"""The package root exports what the demos use; everything else lives in,
-and is imported from, its own module."""
+"""The package root binds only ``__version__``: every name is imported from
+the module that defines it."""
 
 import ast
 import importlib
@@ -13,48 +13,65 @@ import torusvar
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# names the root re-exported up to format 0.2.0 that are still in the
-# package, each in its module
+# every name the root has exported, up to format 0.2.0 or after it, that is
+# still in the package, each in the module that defines it
 MODULE_ONLY = {
     "critical_solver": (
-        "DegeneracyInfo", "SolutionReport", "VerificationResult",
-        "default_kterms", "family_lagrangian", "theorem_kterms",
+        "DegeneracyInfo", "SolutionReport", "VerificationResult", "default_kterms", "family_lagrangian",
+        "solve_pure_h", "solve_with_gauss", "theorem_kterms", "verify_solution",
     ),
-    "energetics": ("EnergyReport",),
+    "energetics": ("EnergyReport", "Perturbation", "curvature_energy", "second_variation", "willmore_scan"),
     "exact_algebra": ("HPoly", "LinearForm", "solve_linear_system"),
-    "h_calculus": ("divbar_bilinear", "divbar_k", "divbar_poly", "k_as_hpoly", "laplacian_poly"),
-    "shape_equation": ("el_residual", "el_system"),
-    "torus_geometry": ("AreaVolume", "suggest_grid"),
+    "h_calculus": (
+        "ExactTorus", "TorusShape", "divbar_bilinear", "divbar_h", "divbar_k", "divbar_poly",
+        "grad_h_squared", "k_as_hpoly", "laplacian_h", "laplacian_poly",
+    ),
+    "shape_equation": ("Lagrangian", "el_residual", "el_system", "helfrich_lagrangian", "sphere_residual"),
+    "torus_geometry": ("AreaVolume", "area_volume", "curvatures", "divbar_numeric", "lb_numeric", "suggest_grid"),
 }
 
+# what the import system binds on a package: its dunders, and each submodule
+# once it is imported
+IMPORT_SYSTEM = {
+    "__name__", "__doc__", "__package__", "__loader__", "__spec__", "__path__", "__file__", "__cached__", "__builtins__",
+}
 
-def _root_imports(path: Path) -> set[str]:
-    tree = ast.parse(path.read_text())
-    return {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "torusvar" and node.level == 0
-        for alias in node.names
-    }
+SUBMODULES = {path.stem for path in (ROOT / "src" / "torusvar").glob("*.py")} - {"__init__"}
 
 
-def test_every_root_name_resolves():
-    assert len(torusvar.__all__) == 21
-    for name in torusvar.__all__:
-        assert getattr(torusvar, name) is not None, name
+def test_the_root_binds_only_the_version():
+    bound = {name for name, value in vars(torusvar).items() if not inspect.ismodule(value)}
+    assert bound - IMPORT_SYSTEM == {"__version__"}
 
 
-def test_the_root_exports_what_the_demos_import():
-    used = set().union(*map(_root_imports, sorted((ROOT / "demos").glob("*.py"))))
-    assert used == set(torusvar.__all__) - {"__version__"}
+def _root_names(path: Path) -> list[str]:
+    """Each name a file reads from the bare package: ``from torusvar import
+    name`` (``from . import name`` inside it) and ``torusvar.name``."""
+    in_package = path.parent == ROOT / "src" / "torusvar"
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module == "torusvar" and node.level == 0) or (in_package and node.module is None and node.level == 1)
+        ):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "torusvar":
+            names.append(node.attr)
+    return names
+
+
+def test_the_programs_read_only_submodules_and_the_version_from_the_root():
+    read = {(path.relative_to(ROOT).as_posix(), name) for path in _programs() for name in _root_names(path)}
+    assert {name for _, name in read} >= {"__version__", "cli"}  # the check is not vacuous
+    assert [(path, name) for path, name in sorted(read) if name not in SUBMODULES | {"__version__"}] == []
 
 
 @pytest.mark.parametrize(
     "module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names]
 )
 def test_module_only_names_import_from_their_module(module, name):
-    assert hasattr(importlib.import_module(f"torusvar.{module}"), name)
-    assert name not in torusvar.__all__
+    home = importlib.import_module(f"torusvar.{module}")
+    assert getattr(home, name).__module__ == home.__name__
+    assert not hasattr(torusvar, name)
 
 
 def _load_tracing():
@@ -143,6 +160,6 @@ def test_every_field_of_an_exported_record_has_a_caller_outside_the_tests():
     # programs; a field whose name another attribute shares is out of reach
     used = _attributes()
     records = {(name, cls) for _, name, cls in _exports() if inspect.isclass(cls) and _fields(cls)}
-    assert len(records) == 16  # nine NamedTuples and seven __slots__ classes
+    assert len(records) == 15  # nine NamedTuples and six __slots__ classes
     unused = [f"{name}.{field}" for name, cls in records for field in _fields(cls) if field not in used]
     assert unused == []

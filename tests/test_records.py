@@ -10,7 +10,7 @@ from torusvar.critical_solver import DegeneracyInfo, SolutionReport, Verificatio
 from torusvar.energetics import EnergyReport, Perturbation
 from torusvar.exact_algebra import HPoly, LinearForm, LinearSolution, PencilReduction, ReducedRows
 from torusvar.h_calculus import ExactTorus, TorusShape
-from torusvar.shape_equation import HelfrichParams, Lagrangian, ResidualRows
+from torusvar.shape_equation import Lagrangian, ResidualRows
 from torusvar.torus_geometry import AreaVolume
 
 # each plain record's fields, in order, and its defaults
@@ -32,7 +32,7 @@ PLAIN = {
     AreaVolume: (("area", "volume", "reduced_volume", "area_quadrature", "volume_quadrature"), {}),
 }
 
-SLOTTED = (LinearForm, Lagrangian, HelfrichParams, ExactTorus, TorusShape, Perturbation, PencilReduction)
+SLOTTED = (LinearForm, Lagrangian, ExactTorus, TorusShape, Perturbation, PencilReduction)
 
 
 @pytest.mark.parametrize("cls", list(PLAIN), ids=lambda cls: cls.__name__)

@@ -116,7 +116,7 @@ def test_second_variation_matches_the_reference(torus, n):
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("torus", TORI, ids=str)
 def test_identities_match_the_reference(torus, n, capsys):
-    assert cli._identity_checks(torus, n) == ref_identity_checks(torus, n)
+    assert cli._identity_checks(torus, torus.to_shape(), n) == ref_identity_checks(torus, n)
     argv = ["identities", "--a2", str(torus.a2), "--r", str(torus.r), "--grid", str(n), "--format", "json"]
     cli.main(argv)
     checks = json.loads(capsys.readouterr().out)["checks"]

@@ -9,7 +9,6 @@ from torusvar.critical_solver import family_lagrangian, solve_pure_h, solve_with
 from torusvar.exact_algebra import HPoly, LinearForm
 from torusvar.h_calculus import ExactTorus
 from torusvar.shape_equation import (
-    HelfrichParams,
     Lagrangian,
     el_residual,
     el_residual_numeric_scaled,
@@ -204,29 +203,27 @@ def test_known_solution_zeroes_every_system_row():
 
 
 def test_helfrich_expansion():
-    params = HelfrichParams(k_c=Fraction(3), c0=Fraction(1, 2), w=Fraction(5))
-    lag = helfrich_lagrangian(params)
+    lag = helfrich_lagrangian(k_c=Fraction(3), c0=Fraction(1, 2), w=Fraction(5))
     assert lag.terms[(2, 0)] == 6  # 2 k_c
     assert lag.terms[(1, 0)] == 3  # 2 k_c c0
     assert lag.terms[(0, 0)] == Fraction(3, 8) + 5  # k_c c0^2/2 + w
 
 
 def test_helfrich_rejects_zero_rigidity():
-    with pytest.raises(ValueError):
-        HelfrichParams(k_c=0, c0=1, w=1)
+    with pytest.raises(ValueError, match="^bending rigidity must be nonzero for a quadratic model$"):
+        helfrich_lagrangian(k_c=0, c0=1, w=1)
 
 
 def test_sphere_residual_minimal_density():
-    lag = Lagrangian.pure_h({0: 1})
-    assert sphere_residual(Fraction(2), lag, Fraction(0)) == -2
+    assert sphere_residual(Fraction(2), Lagrangian.pure_h({0: 1})) == -2
     # balancing pressure makes the sphere critical
-    assert sphere_residual(Fraction(2), lag, Fraction(1)) == 0
+    assert sphere_residual(Fraction(2), Lagrangian.pure_h({0: 1}, pressure=1)) == 0
 
 
 def test_sphere_residual_willmore_vanishes_for_every_radius():
     lag = Lagrangian.pure_h({2: 1})
     for radius in (Fraction(1), Fraction(3, 2), Fraction(7), Fraction(1, 5)):
-        assert sphere_residual(radius, lag, Fraction(0)) == 0
+        assert sphere_residual(radius, lag) == 0
 
 
 def test_sphere_residual_is_twice_the_quadratic_shape_relation():
@@ -239,16 +236,16 @@ def test_sphere_residual_is_twice_the_quadratic_shape_relation():
         w = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         p = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         radius = Fraction(rng.randint(1, 5), rng.randint(1, 2))
-        lag = helfrich_lagrangian(HelfrichParams(k_c, c0, w, p))
+        lag = helfrich_lagrangian(k_c, c0, w, p)
         h = 1 / radius
         k = h * h
         shape_relation = p - 2 * w * h + k_c * (2 * h + c0) * (2 * h * h - c0 * h - 2 * k)
-        assert sphere_residual(radius, lag, p) == 2 * shape_relation
+        assert sphere_residual(radius, lag) == 2 * shape_relation
 
 
 def test_sphere_residual_rejects_bad_radius():
     with pytest.raises(ValueError):
-        sphere_residual(Fraction(0), Lagrangian.pure_h({2: 1}), Fraction(0))
+        sphere_residual(Fraction(0), Lagrangian.pure_h({2: 1}))
 
 
 def test_lagrangian_validation_and_substitution():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -69,18 +70,29 @@ def test_a_equal_to_r_is_rejected_on_the_exact_values(r):
         ExactTorus(r * r, r).to_shape()
 
 
+def test_radii_that_round_to_a_not_above_r_are_rejected_with_the_exact_ratio():
+    ratio = Fraction(10**18 + 1, 10**18)
+    message = rf"^a\^2/r\^2 = {ratio} does not give a > r > 0 in floats: the radii round to a=1.0, r=1.0$"
+    with pytest.raises(ValueError, match=message):
+        TorusShape.from_ratio(ratio, 1)
+
+
 @pytest.mark.parametrize(
-    "ratio, r, rounded",
+    "a2, r, name",
     [
-        (Fraction(10**18 + 1, 10**18), 1, "a=1.0, r=1.0"),
-        # radii below the smallest float round to 0
-        (2, Fraction(1, 10**400), "a=0.0, r=0.0"),
+        (Fraction(10**400), Fraction(1), "a^2 is about 1e400"),
+        (Fraction(10**801), Fraction(10**400), "r^2 is about 1e800"),
+        # radii that would flush to 0, so that a = r = 0.0
+        (Fraction(2, 10**800), Fraction(1, 10**400), "r^2 is about 1e-800"),
     ],
 )
-def test_radii_that_round_to_a_not_above_r_are_rejected_with_the_exact_ratio(ratio, r, rounded):
-    message = rf"^a\^2/r\^2 = {ratio} does not give a > r > 0 in floats: the radii round to {rounded}$"
+def test_radii_outside_the_float_range_are_rejected_naming_the_value(a2, r, name):
+    # the same rule and message as the numeric commands, not an OverflowError
+    message = rf"^{re.escape(name)}, outside the float range \[2\.225e-308, 1\.798e\+308\]$"
     with pytest.raises(ValueError, match=message):
-        TorusShape.from_ratio(ratio, r)
+        ExactTorus(a2, r).to_shape()
+    with pytest.raises(ValueError, match=message):
+        TorusShape.from_ratio(a2 / (r * r), r)
 
 
 def test_outer_equator_metric_component():
