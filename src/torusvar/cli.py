@@ -380,10 +380,14 @@ def _identity_checks(torus: ExactTorus, shape: TorusShape, n: int) -> list[tuple
     from . import torus_geometry
 
     s = torus_geometry.SampledTorus(shape, n)
-    h, k_vals = s.h, s.k
-    # H is differenced once, for both operators and the two gradient terms
-    dh = torus_geometry.spectral_derivative(h)
-    lb, divbar = torus_geometry.lb_numeric, torus_geometry.divbar_numeric
+    h = s.h
+    # K, H, ..., H^6 are differenced once, in one call; H's derivative also
+    # serves the two gradient terms, and each operator takes one 6-row stack
+    fields = np.stack([s.k] + [s.h_power(k) for k in range(1, 7)])
+    derivatives = torus_geometry.spectral_derivative(fields)
+    dh = derivatives[1]
+    lap = torus_geometry.lb_numeric(s, fields[1:], derivatives[1:])  # H .. H^6
+    dbar = torus_geometry.divbar_numeric(s, fields[:6], derivatives[:6])  # K, H .. H^5
 
     def compare(closed: HPoly, grid_values: np.ndarray) -> float:
         exact = closed.eval_float(h)
@@ -391,18 +395,18 @@ def _identity_checks(torus: ExactTorus, shape: TorusShape, n: int) -> list[tuple
         return float(np.max(np.abs(exact - grid_values))) / scale
 
     checks = [
-        ("laplacian(H)", compare(h_calculus.laplacian_h(torus), lb(s, h, dh))),
+        ("laplacian(H)", compare(h_calculus.laplacian_h(torus), lap[0])),
         ("|grad H|^2", compare(h_calculus.grad_h_squared(torus), dh * dh / float(torus.r) ** 2)),
     ]
     for k in range(2, 7):
         closed = h_calculus.laplacian_poly(torus, HPoly.monomial(k))
-        checks.append((f"laplacian(H^{k})", compare(closed, lb(s, s.h_power(k)))))
-    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), divbar(s, h, dh))))
-    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), divbar(s, k_vals))))
-    checks.append(("bilinear term", compare(h_calculus.divbar_bilinear(torus), k_vals * (1.0 / float(torus.r)) * dh * dh)))
+        checks.append((f"laplacian(H^{k})", compare(closed, lap[k - 1])))
+    checks.append(("div_bar(H)", compare(h_calculus.divbar_h(torus), dbar[1])))
+    checks.append(("div_bar(K)", compare(h_calculus.divbar_k(torus), dbar[0])))
+    checks.append(("bilinear term", compare(h_calculus.divbar_bilinear(torus), s.k * (1.0 / float(torus.r)) * dh * dh)))
     for k in range(2, 6):
         closed = h_calculus.divbar_poly(torus, HPoly.monomial(k))
-        checks.append((f"div_bar(H^{k})", compare(closed, divbar(s, s.h_power(k)))))
+        checks.append((f"div_bar(H^{k})", compare(closed, dbar[k])))
     return checks
 
 

@@ -140,15 +140,16 @@ def second_variation(
     big_e1 = (2.0 * h2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
     big_e2 = (2.0 * h2 - k) * d2e + 2.0 * h * de - e_val
 
-    # f is differenced once, for both operators and the gradient terms
+    # f is differenced once, together with H f, for both operators and the
+    # gradient terms
     f = omega.values(s.u)
-    df = spectral_derivative(f)
+    df, d_hf = spectral_derivative(np.stack((f, h * f)))
     m2 = float(v_mode * v_mode)
 
     lap_f = lb_numeric(s, f, df) - m2 * g_vv * f
     div_tilde_f = divbar_numeric(s, f, df) - m2 * k_h_vv * f
     grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
-    grad_hf_grad_f = g_uu * spectral_derivative(h * f) * df + m2 * g_vv * h * f**2
+    grad_hf_grad_f = g_uu * d_hf * df + m2 * g_vv * h * f**2
 
     integrand = (
         big_e1 * f**2

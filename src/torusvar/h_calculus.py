@@ -81,10 +81,14 @@ DEFAULT_GRID = 256
 MAX_GRID = 65536
 
 
+# the normal float range as exact bounds, so that a check converts no float
+_FLOAT_MIN, _FLOAT_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+
+
 def check_float_range(name: str, value: Fraction, where: str = "") -> None:
     """Reject a ``value`` that is neither 0 nor a normal float, which would
     overflow or flush to 0; the message names it and ends with ``where``."""
-    if value and not sys.float_info.min <= abs(value) <= sys.float_info.max:
+    if value and not _FLOAT_MIN <= abs(value) <= _FLOAT_MAX:
         exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
         raise ValueError(
             f"{name} is about 1e{exponent:.0f}, outside the float range "
@@ -115,23 +119,22 @@ class TorusShape:
 
 class ExactTorus:
     """Torus carried through exact data: rational a**2 and rational r, checked
-    a^2 > r^2 > 0; :meth:`to_shape` also rejects an a^2 or r^2 outside the
+    a^2 > r^2 > 0, with ``r2`` and the aspect ratio ``ratio = a2 / r2``
+    computed once; :meth:`to_shape` also rejects an a^2 or r^2 outside the
     float range, and radii that round to a <= r."""
 
-    __slots__ = ("a2", "r")
+    __slots__ = ("a2", "r", "r2", "ratio")
 
     def __init__(self, a2: Fraction, r: Fraction):
         self.a2, self.r = Fraction(a2), Fraction(r)
-        if self.r <= 0 or self.a2 <= self.r * self.r:
+        self.r2 = self.r * self.r
+        if self.r <= 0 or self.a2 <= self.r2:
             raise ValueError(f"need a^2 > r^2 and r > 0, got a^2={self.a2}, r={self.r}")
+        # divided only once the radii are checked
+        self.ratio = self.a2 / self.r2
 
-    @property
-    def r2(self) -> Fraction:
-        return self.r * self.r
-
-    @property
-    def ratio(self) -> Fraction:
-        return self.a2 / self.r2
+    def __repr__(self) -> str:
+        return f"ExactTorus(a2={self.a2}, r={self.r})"
 
     def to_shape(self) -> TorusShape:
         check_float_range("r^2", self.r2)

@@ -304,8 +304,10 @@ def el_residual_numeric_scaled(
     ek = lagrangian.partial_k().eval_at(s)
     density = lagrangian.eval_at(s)
 
-    lap_eh = torus_geometry.lb_numeric(s, eh)
-    dbar_ek = torus_geometry.divbar_numeric(s, ek)
+    # E_H and E_K are differenced together, in one transform pair
+    d_eh, d_ek = torus_geometry.spectral_derivative(np.stack((eh, ek)))
+    lap_eh = torus_geometry.lb_numeric(s, eh, d_eh)
+    dbar_ek = torus_geometry.divbar_numeric(s, ek, d_ek)
     pressure = float(lagrangian.pressure)
     terms = (
         lap_eh,

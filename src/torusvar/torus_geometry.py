@@ -23,18 +23,25 @@ The grid operators in this module are deliberately independent of the
 closed-form polynomial identities in :mod:`torusvar.h_calculus`; they are the
 oracle those identities are tested against.
 
-A :class:`SampledTorus` is one torus on one grid: the nodes, cos u, w, H and
+The tables of a grid, the nodes u, cos u and the derivative multiplier
+i k, depend on the grid size alone; :func:`grid_tables` builds them once per
+size, read-only, and keeps the last ``GRID_MEMO_SIZE`` sizes, as numpy keeps
+its FFT plans.  A :class:`SampledTorus` is one torus on one grid: w, H and
 K, computed once, and the powers H^i and K^j, computed on first use.  Every
 numeric oracle builds one per grid for the length of a single call and reads
-its fields from it; the operators also accept a u-derivative their caller
-has already taken, so a field used twice is differenced once.  Each array is
-computed by the same numpy operations as a fresh evaluation would use, so
+its fields from it, so the torus's tables never outlive the call.  The
+operators work along the last axis, so a stack of fields is differenced in
+one transform pair, and they also accept a u-derivative their caller has
+already taken, so a field used twice is differenced once.  Each array is
+computed by the same numpy operations as a fresh evaluation would use, and a
+stacked transform gives each row the floats it gives that row alone, so
 sharing changes no float.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +54,7 @@ __all__ = [
     "AreaVolume",
     "SampledTorus",
     "grid_nodes",
+    "grid_tables",
     "curvatures",
     "spectral_derivative",
     "lb_numeric",
@@ -67,6 +75,30 @@ class AreaVolume(NamedTuple):
 
 def grid_nodes(n: int = DEFAULT_GRID) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
+
+
+# grid sizes whose tables are kept; a numeric-oracles run meets six
+GRID_MEMO_SIZE = 16
+
+
+class GridTables(NamedTuple):
+    """The read-only tables of the n-point u-grid."""
+
+    u: np.ndarray
+    cos_u: np.ndarray
+    # i k for the rfft modes k = 0 .. n // 2
+    ik: np.ndarray
+
+
+@lru_cache(maxsize=GRID_MEMO_SIZE)
+def grid_tables(n: int) -> GridTables:
+    """The nodes, cos u and derivative multiplier of the n-point grid, built
+    once per grid size and shared by every call on that grid."""
+    u = grid_nodes(n)
+    tables = GridTables(u, np.cos(u), 1j * np.arange(n // 2 + 1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def suggest_grid(t: TorusShape) -> int:
@@ -112,18 +144,18 @@ def _power(table: dict[int, np.ndarray], base: np.ndarray, e: int) -> np.ndarray
 class SampledTorus:
     """One torus sampled on the n-point u-grid, for the length of one call.
 
-    ``u``, ``cos_u``, ``w = a + r cos u`` and the curvatures ``h`` and ``k``
-    are computed at construction; :meth:`h_power` and :meth:`k_power`
-    compute each power on first use and keep it with the object.  Each
-    oracle call builds its own and drops it on return, so no table outlives
-    the call.
+    ``u`` and ``cos_u`` are the grid's shared read-only tables
+    (:func:`grid_tables`); ``w = a + r cos u`` and the curvatures ``h`` and
+    ``k`` are computed at construction, and :meth:`h_power` and
+    :meth:`k_power` compute each power on first use and keep it with the
+    object.  Each oracle call builds its own and drops it on return, so no
+    table of the torus outlives the call.
     """
 
     def __init__(self, shape: TorusShape, n: int):
         self.shape = shape
         self.n = n
-        self.u = grid_nodes(n)
-        self.cos_u = np.cos(self.u)
+        self.u, self.cos_u, _ = grid_tables(n)
         self.w = shape.a + shape.r * self.cos_u
         self.h, self.k = _curvatures(shape, self.cos_u, self.w)
         self._h_powers: dict[int, np.ndarray] = {}
@@ -144,25 +176,30 @@ class SampledTorus:
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """d/du by trigonometric interpolation on [0, 2pi); exact for resolved
-    trigonometric polynomials up to roundoff."""
-    n = values.shape[0]
-    spec = np.fft.rfft(values)
-    k = np.arange(spec.shape[0])
-    spec = spec * (1j * k)
-    # the Nyquist mode carries no derivative information for real data
-    spec[-1] = 0.0
+    """d/du along the last axis by trigonometric interpolation on [0, 2pi);
+    exact for resolved trigonometric polynomials up to roundoff.
+
+    A stack of fields is differenced row by row in one transform pair.  On
+    an even grid the last rfft mode is the Nyquist mode, which carries no
+    derivative information for real data and is dropped; on an odd grid it
+    is a resolved mode and is kept.
+    """
+    n = values.shape[-1]
+    spec = np.fft.rfft(values) * grid_tables(n).ik
+    if n % 2 == 0:
+        spec[..., -1] = 0.0
     return np.fft.irfft(spec, n)
 
 
 def _divergence_form(
     t: TorusShape | SampledTorus, values: np.ndarray, kernel, derivative: np.ndarray | None
 ) -> np.ndarray:
-    """(1/(r**2 w)) d/du (kernel(s) df/du) for the samples f of a field at
-    the grid nodes; t is a TorusShape, or a SampledTorus on the same grid,
-    and ``derivative``, when given, is df/du already taken."""
+    """(1/(r**2 w)) d/du (kernel(s) df/du) for the samples f of a field, or
+    a stack of fields, along the last axis; t is a TorusShape, or a
+    SampledTorus on the same grid, and ``derivative``, when given, is df/du
+    already taken."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 16 or n % 2:
         raise ValueError(f"grid size must be even and >= 16, got {n}")
     s = t if isinstance(t, SampledTorus) else SampledTorus(t, n)
@@ -179,7 +216,8 @@ def lb_numeric(
 ) -> np.ndarray:
     """Laplace-Beltrami of a v-independent field, spectrally differenced.
 
-    t is a TorusShape or a SampledTorus; ``derivative`` is the field's
+    t is a TorusShape or a SampledTorus; ``values`` is a field or a stack of
+    fields on the grid along the last axis, and ``derivative`` its
     u-derivative when the caller has already taken it.
     """
     return _divergence_form(t, values, lambda s: s.w, derivative)

@@ -8,18 +8,22 @@ import pytest
 
 from torusvar.h_calculus import ExactTorus
 from torusvar.torus_geometry import (
+    GRID_MEMO_SIZE,
     MAX_GRID,
+    SampledTorus,
     TorusShape,
     area_volume,
     curvatures,
     divbar_numeric,
     grid_nodes,
+    grid_tables,
     lb_numeric,
     spectral_derivative,
     suggest_grid,
 )
 
 from oracles import ref_fundamental_forms
+from test_sampled_oracles import GRIDS
 
 T21 = TorusShape(a=2.0, r=1.0)
 
@@ -164,6 +168,55 @@ def test_spectral_derivative_is_exact_on_trig_polys():
     f = np.cos(3 * u) + 0.5 * np.sin(7 * u)
     expected = -3 * np.sin(3 * u) + 3.5 * np.cos(7 * u)
     assert np.max(np.abs(spectral_derivative(f) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (15, 16, 17, 18))
+def test_spectral_derivative_is_exact_on_every_resolved_mode(n):
+    # on an odd grid the last rfft mode is resolved and must be kept
+    u = grid_nodes(n)
+    top = (n - 1) // 2 if n % 2 else n // 2 - 1
+    for j in range(top + 1):
+        for f, df in ((np.cos(j * u), -j * np.sin(j * u)), (np.sin(j * u), j * np.cos(j * u))):
+            assert np.max(np.abs(spectral_derivative(f) - df)) < 1e-12, (n, j)
+
+
+@pytest.mark.parametrize("n", GRIDS)
+def test_a_stack_is_differenced_exactly_as_its_rows(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((7, n))
+    s = SampledTorus(TorusShape(2.0, 1.0), n)
+    assert [row.tobytes() for row in spectral_derivative(stack)] == [spectral_derivative(f).tobytes() for f in stack]
+    for op in (lb_numeric, divbar_numeric):
+        assert [row.tobytes() for row in op(s, stack)] == [op(s, f).tobytes() for f in stack]
+
+
+def test_grid_tables_are_read_only_shared_and_bounded():
+    tables = grid_tables(64)
+    assert grid_tables(64) is tables
+    s = SampledTorus(TorusShape(2.0, 1.0), 64)
+    assert s.u is tables.u and s.cos_u is tables.cos_u
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    assert tables.u.tobytes() == grid_nodes(64).tobytes()
+    assert tables.cos_u.tobytes() == np.cos(grid_nodes(64)).tobytes()
+    assert tables.ik.tobytes() == (1j * np.arange(33)).tobytes()
+    assert type(GRID_MEMO_SIZE) is int and grid_tables.cache_info().maxsize == GRID_MEMO_SIZE
+    grid_tables.cache_clear()
+    for n in range(16, 16 + 2 * (GRID_MEMO_SIZE + 4), 2):
+        spectral_derivative(np.zeros(n))
+    assert grid_tables.cache_info().currsize == GRID_MEMO_SIZE
+
+
+def test_exact_torus_keeps_its_square_and_ratio():
+    for a2, r in ((Fraction(25, 8), Fraction(17, 16)), (Fraction(2), Fraction(1)), (Fraction(7), Fraction(3, 2))):
+        t = ExactTorus(a2, r)
+        assert type(t.r2) is Fraction and t.r2 == r * r
+        assert type(t.ratio) is Fraction and t.ratio == a2 / (r * r)
+    assert repr(ExactTorus(Fraction(25, 8), Fraction(17, 16))) == "ExactTorus(a2=25/8, r=17/16)"
+    # r = 0 meets the radius rule before any division by r^2
+    with pytest.raises(ValueError, match=r"^need a\^2 > r\^2 and r > 0, got a\^2=3, r=0$"):
+        ExactTorus(Fraction(3), Fraction(0))
 
 
 def test_grid_validation():
