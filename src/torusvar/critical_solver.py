@@ -149,7 +149,15 @@ class SolutionReport(NamedTuple):
     def lagrangian_at(self, free_values: Mapping[str, Fraction]) -> Lagrangian:
         """Instantiate the family at concrete free-parameter values."""
         values = {name: Fraction(v) for name, v in free_values.items()}
-        resolved = {name: form.evaluate(values) for name, form in self.assignments.items()}
+        # every free value must be given, but only a nonzero one enters a sum
+        nonzero = [(name, value) for name in self.free_parameters if (value := values[name])]
+        resolved = {}
+        for name, form in self.assignments.items():
+            total = form.constant
+            for free, value in nonzero:
+                if coeff := form.terms.get(free):
+                    total += coeff * value
+            resolved[name] = total
         # substitute builds a new Lagrangian, so the family's shared one stays as it is
         return _family(self.degree, self.kterms)[0].substitute(resolved)
 

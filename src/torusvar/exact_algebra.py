@@ -94,12 +94,6 @@ class HPoly(NamedTuple):
             coeffs.pop()
         return HPoly(tuple(coeffs))
 
-    @staticmethod
-    def monomial(power: int) -> "HPoly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return HPoly.of([0] * power + [1])
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -17,11 +17,13 @@ V_p (the affine form in 1/rho is the 1/a^2 of the eliminations above).  The
 table below holds those integer pairs once, for every torus.  Every exact
 operator goes through one integer chain rule, op(f) = f' op(x) + f'' B(x)
 with B the operator's remainder (:func:`chain_rule`; the residual columns of
-:mod:`torusvar.shape_equation`, :func:`laplacian_poly`, :func:`divbar_poly`),
-and one reader, :func:`read`, which puts r^(p - d) (U_p + V_p / rho) on H^p
-from the integers num U_p + den V_p at rho = num / den (the closed forms,
-``el_system``, ``el_residual``).  Every closed form is regression-tested
-against the independent spectral operators of :mod:`torusvar.torus_geometry`.
+:mod:`torusvar.shape_equation`, :func:`laplacian_poly`, :func:`divbar_poly`,
+and the table of each power H^k that :func:`laplacian_power` and
+:func:`divbar_power` build once per process), and one reader, :func:`read`,
+which puts r^(p - d) (U_p + V_p / rho) on H^p from the integers
+num U_p + den V_p at rho = num / den (the closed forms, ``el_system``,
+``el_residual``).  Every closed form is regression-tested against the
+independent spectral operators of :mod:`torusvar.torus_geometry`.
 
 Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -57,6 +60,8 @@ __all__ = [
     "divbar_bilinear",
     "divbar_poly",
     "laplacian_poly",
+    "divbar_power",
+    "laplacian_power",
 ]
 
 # (U, V): integer coefficient lists in x = r H of U + V / rho at r = 1
@@ -223,8 +228,9 @@ def divbar_h(t: ExactTorus) -> HPoly:
 
 
 def divbar_k(t: ExactTorus) -> HPoly:
-    """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H."""
-    return divbar_poly(t, k_as_hpoly(t))
+    """div_bar of K; equals (2/r) * div_bar(H) because K is linear in H, so
+    its table is 2 DIVBAR_H, of weight 5."""
+    return _on_torus(t, tuple([2 * c for c in part] for part in DIVBAR_H), 5)
 
 
 def divbar_bilinear(t: ExactTorus) -> HPoly:
@@ -258,3 +264,34 @@ def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
 def laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
     """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule."""
     return _poly_chain_rule(t, f, LAPLACIAN_H, GRAD_H_SQUARED, 2)
+
+
+# (operator, power) tables that are kept; an identities check reads nine
+POWER_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=POWER_MEMO_SIZE)
+def _power_table(divbar: bool, k: int) -> IntTable:
+    """The integer table of op(H^k), op div_bar if ``divbar`` else the
+    Laplacian: the chain rule on x^k, the same on every torus, so it is
+    built once per process and shared, as tuples."""
+    op, remainder = (DIVBAR_H, BILINEAR) if divbar else (LAPLACIAN_H, GRAD_H_SQUARED)
+    u, v = chain_rule((k, [1]), op, remainder)
+    return tuple(products_sum(u)), tuple(products_sum(v))
+
+
+def _power(t: ExactTorus, divbar: bool, k: int) -> HPoly:
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+    # op(H^k) = op(x^k) / r^k: the table of weight k plus the operator's
+    return _on_torus(t, _power_table(divbar, k), k + (3 if divbar else 2))
+
+
+def laplacian_power(t: ExactTorus, k: int) -> HPoly:
+    """Laplace-Beltrami of H^k; equals ``laplacian_poly`` of H^k."""
+    return _power(t, False, k)
+
+
+def divbar_power(t: ExactTorus, k: int) -> HPoly:
+    """div_bar of H^k; equals ``divbar_poly`` of H^k."""
+    return _power(t, True, k)

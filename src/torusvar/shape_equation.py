@@ -32,7 +32,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from . import h_calculus
-from .exact_algebra import HPoly, LinearForm
+from .exact_algebra import HPoly, LinearForm, _as_fraction
 from .h_calculus import DEFAULT_GRID, ExactTorus, TorusShape
 
 if TYPE_CHECKING:
@@ -55,6 +55,8 @@ __all__ = [
 # a coefficient is either a known exact rational or the name of an unknown
 Coefficient = Union[Fraction, int, str]
 
+_ZERO = Fraction(0)
+
 
 def _is_unknown(c: Coefficient) -> bool:
     return isinstance(c, str)
@@ -65,12 +67,14 @@ class Lagrangian:
 
     Coefficients and the pressure are either exact rationals or unknown
     names; mixing the two is allowed (known values fold into the constant
-    part of the linear system).
+    part of the linear system).  A float is rejected, as in
+    :class:`~torusvar.exact_algebra.LinearForm`.  ``unknowns`` lists the
+    names once each, in term order and the pressure last.
     """
 
-    __slots__ = ("terms", "pressure")
+    __slots__ = ("terms", "pressure", "unknowns")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Coefficient] | None = None, pressure: Coefficient = Fraction(0)):
+    def __init__(self, terms: Mapping[tuple[int, int], Coefficient] | None = None, pressure: Coefficient = _ZERO):
         self.terms: dict[tuple[int, int], Coefficient] = {}
         for (k, m), c in (terms or {}).items():
             if k < 0 or m < 0:
@@ -78,10 +82,22 @@ class Lagrangian:
             if _is_unknown(c):
                 self.terms[(k, m)] = c
             else:
-                c = Fraction(c)
+                c = _as_fraction(c)
                 if c != 0:
                     self.terms[(k, m)] = c
-        self.pressure = pressure if _is_unknown(pressure) else Fraction(pressure)
+        self.pressure = pressure if _is_unknown(pressure) else _as_fraction(pressure)
+        names = [c for c in self.terms.values() if _is_unknown(c)]
+        if _is_unknown(self.pressure):
+            names.append(self.pressure)
+        self.unknowns: tuple[str, ...] = tuple(dict.fromkeys(names))
+
+    @staticmethod
+    def _of(terms: dict[tuple[int, int], Fraction], pressure: Fraction) -> "Lagrangian":
+        """The numeric Lagrangian of nonzero Fraction ``terms`` and a Fraction
+        ``pressure``, taken as they are: the constructor's cleaning is skipped."""
+        lagrangian = object.__new__(Lagrangian)
+        lagrangian.terms, lagrangian.pressure, lagrangian.unknowns = terms, pressure, ()
+        return lagrangian
 
     def __eq__(self, other):
         return type(other) is Lagrangian and (self.terms, self.pressure) == (other.terms, other.pressure)
@@ -90,21 +106,19 @@ class Lagrangian:
     def pure_h(coeffs: Mapping[int, Coefficient], pressure: Coefficient = 0) -> "Lagrangian":
         return Lagrangian({(k, 0): c for k, c in coeffs.items()}, pressure)
 
-    @property
-    def unknowns(self) -> tuple[str, ...]:
-        names = [c for c in self.terms.values() if _is_unknown(c)]
-        if _is_unknown(self.pressure):
-            names.append(self.pressure)
-        return tuple(dict.fromkeys(names))
-
     def substitute(self, values: Mapping[str, Fraction]) -> "Lagrangian":
-        terms = {
-            km: (Fraction(values[c]) if _is_unknown(c) else c) for km, c in self.terms.items()
-        }
+        """The numeric Lagrangian with each unknown replaced by its value in
+        ``values``; a term whose value is zero is dropped."""
+        terms = {}
+        for km, c in self.terms.items():
+            if _is_unknown(c):
+                c = _as_fraction(values[c])
+            if c:
+                terms[km] = c
         pressure = self.pressure
         if _is_unknown(pressure):
-            pressure = Fraction(values[pressure])
-        return Lagrangian(terms, pressure)
+            pressure = _as_fraction(values[pressure])
+        return Lagrangian._of(terms, pressure)
 
     def eval_at(self, s: SampledTorus) -> np.ndarray:
         """Pointwise numeric value of E at the nodes of a sampled torus, from
@@ -126,16 +140,17 @@ class Lagrangian:
             total = total + term
         return total
 
-    # distinct terms have distinct partials, so nothing needs collecting
+    # distinct terms have distinct partials, so nothing needs collecting, and
+    # a nonzero coefficient times a positive power stays nonzero
     def partial_h(self) -> "Lagrangian":
         """dE/dH, with H and K independent, as a Lagrangian of zero pressure."""
         self._require_numeric()
-        return Lagrangian({(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1})
+        return Lagrangian._of({(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1}, _ZERO)
 
     def partial_k(self) -> "Lagrangian":
         """dE/dK, with H and K independent, as a Lagrangian of zero pressure."""
         self._require_numeric()
-        return Lagrangian({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1})
+        return Lagrangian._of({(i, j - 1): j * c for (i, j), c in self.terms.items() if j >= 1}, _ZERO)
 
     def _require_numeric(self):
         if self.unknowns:
@@ -150,10 +165,10 @@ def helfrich_lagrangian(k_c: Fraction, c0: Fraction, w: Fraction, p: Fraction = 
     The H^2 coefficient of this expansion is 2 k_c; the H coefficient is
     2 k_c c0; the constant is k_c c0^2 / 2 + w.
     """
-    k_c, c0, w = Fraction(k_c), Fraction(c0), Fraction(w)
+    k_c, c0, w = _as_fraction(k_c), _as_fraction(c0), _as_fraction(w)
     if k_c == 0:
         raise ValueError("bending rigidity must be nonzero for a quadratic model")
-    return Lagrangian.pure_h({2: 2 * k_c, 1: 2 * k_c * c0, 0: Fraction(1, 2) * k_c * c0 * c0 + w}, Fraction(p))
+    return Lagrangian.pure_h({2: 2 * k_c, 1: 2 * k_c * c0, 0: Fraction(1, 2) * k_c * c0 * c0 + w}, p)
 
 
 # monomials whose residual tables are kept; a degree-24 family uses fewer
@@ -201,6 +216,27 @@ def residual_column(i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(h_calculus.products_sum(u_pairs)), tuple(h_calculus.products_sum(v_pairs))
 
 
+# monomial sets whose residual tables are kept: a family's, and its members'
+# sets, which drop the terms of zero coefficient; a numeric-oracles run meets
+# 28 sets, and the families and members of an exact-families run 49
+ROWS_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=ROWS_MEMO_SIZE)
+def _rows_tables(monomials: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The weights and transposed U and V tables of :class:`ResidualRows`
+    for the terms ``monomials`` and the pressure; they depend on no
+    coefficient and no torus, so each set is built once per process."""
+    columns = [residual_column(i, j) for i, j in monomials]
+    columns.append(((2,), ()))
+    size = max(len(part) for column in columns for part in column)
+    u, v = (
+        tuple(zip(*(part + (0,) * (size - len(part)) for part in parts)))
+        for parts in zip(*columns)
+    )
+    return (*(i + 2 * j - 2 for i, j in monomials), -3), u, v
+
+
 class ResidualRows(NamedTuple):
     """A Lagrangian's residual rows, built once for every torus.
 
@@ -210,7 +246,9 @@ class ResidualRows(NamedTuple):
     normalized coefficients the row of H^p is r^(p - 3) times U_p + V_p / rho,
     with the integer vectors U_p, V_p of :func:`residual_column` and
     rho = a^2 / r^2, so the rows at rho = num / den are, up to the factor
-    r^(p - 3) / num, the integer rows num U + den V.
+    r^(p - 3) / num, the integer rows num U + den V.  The weights and U, V
+    depend on the terms alone, and are shared by every Lagrangian with the
+    same terms in the same order.
     """
 
     coefficients: tuple[Coefficient, ...]
@@ -220,16 +258,8 @@ class ResidualRows(NamedTuple):
 
     @staticmethod
     def of(lagrangian: Lagrangian) -> "ResidualRows":
-        columns = [residual_column(i, j) for i, j in lagrangian.terms]
-        columns.append(((2,), ()))
-        size = max(len(part) for column in columns for part in column)
-        u, v = (
-            tuple(zip(*(part + (0,) * (size - len(part)) for part in parts)))
-            for parts in zip(*columns)
-        )
-        weights = [i + 2 * j - 2 for i, j in lagrangian.terms] + [-3]
-        coefficients = (*lagrangian.terms.values(), lagrangian.pressure)
-        return ResidualRows(coefficients, tuple(weights), u, v)
+        weights, u, v = _rows_tables(tuple(lagrangian.terms))
+        return ResidualRows((*lagrangian.terms.values(), lagrangian.pressure), weights, u, v)
 
     def at_ratio(self, ratio: Fraction | None) -> list[list[int]]:
         """The integer rows num U + den V at rho = num / den; None reads U alone."""
@@ -275,12 +305,18 @@ def el_residual(t: ExactTorus, lagrangian: Lagrangian) -> HPoly:
     """
     lagrangian._require_numeric()
     residual = ResidualRows.of(lagrangian)
-    # the coefficients normalized as c r^-w, as integers over one denominator
-    normalized = [c * t.r**-w for c, w in zip(residual.coefficients, residual.weights)]
-    denom = lcm(*(c.denominator for c in normalized))
-    ints = [c.numerator * (denom // c.denominator) for c in normalized]
-    # row p is the table of weight 3 of one integer dot product
-    rows = [sum(map(mul, ints, row)) for row in residual.at_ratio(t.ratio)]
+    # the coefficients normalized as c r^-w, as integer pairs (numerator,
+    # denominator) from r's, then as integers over one denominator
+    rn, rd = t.r.numerator, t.r.denominator
+    pairs = [
+        (c.numerator * rd**w, c.denominator * rn**w) if w >= 0 else (c.numerator * rn**-w, c.denominator * rd**-w)
+        for c, w in zip(residual.coefficients, residual.weights)
+    ]
+    denom = lcm(*(d for _, d in pairs))
+    ints = [c * (denom // d) for c, d in pairs]
+    # row p is the table of weight 3 of num U_p + den V_p dotted with them
+    num, den = t.ratio.numerator, t.ratio.denominator
+    rows = [num * sum(map(mul, ints, u)) + den * sum(map(mul, ints, v)) for u, v in zip(residual.u, residual.v)]
     return HPoly.of(h_calculus.read(t, rows, 3, denom))
 
 

@@ -29,7 +29,7 @@ def test_add_pads_shorter_operand():
 
 
 def test_mul_of_monomials():
-    h = HPoly.monomial(1).coeffs
+    h = HPoly.of([0] * 1 + [1]).coeffs
     assert multiply(h, h) == (0, 0, 1)
 
 

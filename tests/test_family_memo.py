@@ -1,8 +1,8 @@
 """The per-process memos of the exact path: the residual table of each
-monomial, each family's rows, each constraint family's ratio and its
-reduction there, and each family's reduction over Z[rho].  Nothing is kept
-per ratio.  A memo may change how fast a solve runs, never what it
-returns."""
+monomial and of each monomial set, the operator table of each power of H,
+each family's rows, each constraint family's ratio and its reduction there,
+and each family's reduction over Z[rho].  Nothing is kept per ratio.  A memo
+may change how fast a solve runs, never what it returns."""
 
 import re
 from fractions import Fraction
@@ -10,15 +10,16 @@ from itertools import combinations
 
 import pytest
 
-from torusvar import cli, critical_solver, shape_equation
+from torusvar import cli, critical_solver, h_calculus, shape_equation
 from torusvar.critical_solver import (
     family_lagrangian,
     solve_pure_h,
     solve_with_gauss,
     theorem_kterms,
+    verify_solution,
 )
 from torusvar.exact_algebra import LinearForm
-from torusvar.shape_equation import residual_column
+from torusvar.shape_equation import Lagrangian, ResidualRows, residual_column
 
 from oracles import evaluate
 
@@ -41,6 +42,8 @@ def clear_memos():
     critical_solver._constrained.cache_clear()
     critical_solver._pencil.cache_clear()
     residual_column.cache_clear()
+    shape_equation._rows_tables.cache_clear()
+    h_calculus._power_table.cache_clear()
 
 
 def counted(monkeypatch, name):
@@ -164,6 +167,53 @@ def test_the_family_memo_has_a_constant_bound():
         solve_with_gauss(6, 1, kterms, 3)
     assert critical_solver._family.cache_info().currsize == size
     assert critical_solver._pencil.cache_info().currsize == size
+
+
+def test_each_table_memo_stops_at_its_constant():
+    clear_memos()
+    size = shape_equation.ROWS_MEMO_SIZE
+    assert type(size) is int and shape_equation._rows_tables.cache_info().maxsize == size
+    for i in range(size + 8):
+        ResidualRows.of(Lagrangian({(i, 0): 1}))
+    assert shape_equation._rows_tables.cache_info().currsize == size
+    size = h_calculus.POWER_MEMO_SIZE
+    assert type(size) is int and h_calculus._power_table.cache_info().maxsize == size
+    torus = h_calculus.ExactTorus(3, 1)
+    for k in range(size // 2 + 8):
+        h_calculus.laplacian_power(torus, k)
+        h_calculus.divbar_power(torus, k)
+    assert h_calculus._power_table.cache_info().currsize == size
+
+
+def test_a_second_identities_or_verify_builds_no_table(monkeypatch):
+    # the first identities check and the first verify of a family build the
+    # operator and residual tables by the chain rule; a new torus, or a new
+    # member of the same family, reads them and runs the chain rule no more
+    clear_memos()
+    calls = []
+    chain_rule = h_calculus.chain_rule
+
+    def counting(*args):
+        calls.append(args)
+        return chain_rule(*args)
+
+    monkeypatch.setattr(h_calculus, "chain_rule", counting)
+    report = solve_with_gauss(4, Fraction(3, 2), None, Fraction(27, 4))
+    clear_memos()
+    checks = []
+    for a2, r in (("49/16", "3/2"), ("11767/3600", "41/40")):
+        before = len(calls)
+        assert cli.main(["identities", "--a2", a2, "--r", r, "--grid", "256"]) == 0
+        checks.append(len(calls) - before)
+    assert checks[0] > 0 and checks[1] == 0
+    # two members with every free value nonzero, so with the same terms
+    torus, free = report.exact_torus(), report.free_parameters
+    verifies = []
+    for values in ({f: Fraction(k + 1) for k, f in enumerate(free)}, {f: Fraction(2 * k + 3, 7) for k, f in enumerate(free)}):
+        before = len(calls)
+        assert verify_solution(torus, report, values).exact
+        verifies.append(len(calls) - before)
+    assert verifies[0] > 0 and verifies[1] == 0
 
 
 def test_a_fixed_radii_family_at_a_known_ratio_is_not_reduced_again(capsys, monkeypatch):

@@ -11,10 +11,12 @@ from torusvar.h_calculus import (
     divbar_h,
     divbar_k,
     divbar_poly,
+    divbar_power,
     grad_h_squared,
     k_as_hpoly,
     laplacian_h,
     laplacian_poly,
+    laplacian_power,
 )
 from torusvar.torus_geometry import (
     curvatures,
@@ -109,7 +111,7 @@ def test_grad_h_squared_vanishes_at_critical_angles():
 
 def test_laplacian_h_pow_base_case():
     for t in random_exact_tori(3, seed=7):
-        assert laplacian_poly(t, HPoly.monomial(1)) == laplacian_h(t)
+        assert laplacian_poly(t, HPoly.of([0] * 1 + [1])) == laplacian_h(t)
 
 
 def test_leading_coefficient_example():
@@ -120,7 +122,7 @@ def test_leading_coefficient_example():
 def test_leading_coefficients_closed_form_exact():
     for t in random_exact_tori(4, seed=9):
         for n in range(2, 11):
-            poly = laplacian_poly(t, HPoly.monomial(n))
+            poly = laplacian_poly(t, HPoly.of([0] * n + [1]))
             top, sub = laplacian_pow_leading_coeffs(t, n)
             assert poly.coeffs[n + 2] == top
             assert poly.coeffs[n + 1] == sub
@@ -165,7 +167,7 @@ def test_bilinear_vanishes_at_critical_angles():
 
 def test_bilinear_product_identity_exact():
     for t in random_exact_tori(5, seed=17):
-        h2 = HPoly.monomial(2)
+        h2 = HPoly.of([0] * 2 + [1])
         lhs = divbar_poly(t, h2).coeffs
         two_h_divbar_h = multiply((0, 2), divbar_h(t).coeffs)
         rhs = add(two_h_divbar_h, scale(divbar_bilinear(t).coeffs, 2))
@@ -183,9 +185,30 @@ def test_divbar_poly_of_k_matches_divbar_k():
         assert divbar_poly(t, k_as_hpoly(t)) == divbar_k(t)
 
 
+# the Clifford torus, the CLI example, a benchmark pass radius and a wide torus
+POWER_TORI = [
+    ExactTorus(a2, r)
+    for a2, r in ((2, 1), (Fraction(49, 16), Fraction(3, 2)), (Fraction(11767, 3600), Fraction(41, 40)), (9, Fraction(7, 3)))
+]
+
+
+@pytest.mark.parametrize("t", POWER_TORI, ids=repr)
+def test_per_power_tables_match_the_general_chain_rule(t):
+    for k in range(9):
+        h_k = HPoly.of([0] * k + [1])
+        for power, poly in ((laplacian_power, laplacian_poly), (divbar_power, divbar_poly)):
+            closed = power(t, k)
+            assert closed == poly(t, h_k), (power.__name__, k)
+            # an exact HPoly: Fractions only, and no trailing zero
+            assert all(type(c) is Fraction for c in closed.coeffs), (power.__name__, k)
+            assert closed.is_zero == (k == 0) and (not closed.coeffs or closed.coeffs[-1] != 0)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        laplacian_power(t, -1)
+
+
 def test_laplacian_poly_of_linear_matches_laplacian_h():
     for t in random_exact_tori(3, seed=20):
-        assert laplacian_poly(t, HPoly.monomial(1)) == laplacian_h(t)
+        assert laplacian_poly(t, HPoly.of([0] * 1 + [1])) == laplacian_h(t)
 
 
 def test_every_closed_form_matches_the_grid_oracle():
@@ -201,7 +224,7 @@ def test_every_closed_form_matches_the_grid_oracle():
         assert grid_match(t, grad_h_squared(t), df * df / r**2, h)
         for n in range(2, 7):
             assert grid_match(
-                t, laplacian_poly(t, HPoly.monomial(n)), lb_numeric(shape, h**n), h
+                t, laplacian_poly(t, HPoly.of([0] * n + [1])), lb_numeric(shape, h**n), h
             )
         assert grid_match(t, divbar_h(t), divbar_numeric(shape, h), h)
         assert grid_match(t, divbar_k(t), divbar_numeric(shape, k), h)
@@ -209,7 +232,7 @@ def test_every_closed_form_matches_the_grid_oracle():
         for n in range(2, 6):
             assert grid_match(
                 t,
-                divbar_poly(t, HPoly.monomial(n)),
+                divbar_poly(t, HPoly.of([0] * n + [1])),
                 divbar_numeric(shape, h**n),
                 h,
             )
@@ -218,8 +241,8 @@ def test_every_closed_form_matches_the_grid_oracle():
 def test_specific_grid_agreements_from_worked_cases():
     # laplacian(H^3) on the Clifford torus, div_bar(H^3) at ratio 2, both 1e-9
     for t, op_closed, field_power, op_grid in [
-        (CLIFFORD, laplacian_poly(CLIFFORD, HPoly.monomial(3)), 3, lb_numeric),
-        (ExactTorus(Fraction(3), 1), divbar_poly(ExactTorus(Fraction(3), 1), HPoly.monomial(3)), 3, divbar_numeric),
+        (CLIFFORD, laplacian_poly(CLIFFORD, HPoly.of([0] * 3 + [1])), 3, lb_numeric),
+        (ExactTorus(Fraction(3), 1), divbar_poly(ExactTorus(Fraction(3), 1), HPoly.of([0] * 3 + [1])), 3, divbar_numeric),
     ]:
         shape = t.to_shape()
         h, _ = curvatures(shape, grid_nodes(256))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -257,6 +258,74 @@ def test_lagrangian_validation_and_substitution():
     assert not numeric.unknowns
     assert numeric.terms == {(2, 0): Fraction(2)}
     assert numeric.pressure == Fraction(1, 3)
+
+
+def _public(lagrangian):
+    """The Lagrangian rebuilt by the public constructor from its own terms."""
+    return Lagrangian(dict(lagrangian.terms), lagrangian.pressure)
+
+
+def _assert_same_build(built, expected):
+    assert built == expected
+    # the same terms in the same order, the same pressure and unknowns
+    assert list(built.terms.items()) == list(expected.terms.items())
+    assert built.pressure == expected.pressure and type(built.pressure) is Fraction
+    assert built.unknowns == expected.unknowns == ()
+    assert all(type(c) is Fraction and c != 0 for c in built.terms.values())
+
+
+def test_substitute_and_partials_equal_public_builds():
+    lag = Lagrangian({(3, 0): "a1", (2, 1): "a2", (1, 2): 5, (0, 0): "a3", (0, 2): "a1"}, pressure="p")
+    values = {"a1": Fraction(2), "a2": Fraction(0), "a3": 7, "p": Fraction(-1, 3)}
+    numeric = lag.substitute(values)
+    # the zero value drops H^2 K, the int becomes a Fraction, the pressure is substituted
+    expected = Lagrangian({(3, 0): 2, (1, 2): 5, (0, 0): 7, (0, 2): 2}, Fraction(-1, 3))
+    _assert_same_build(numeric, expected)
+    _assert_same_build(numeric, _public(numeric))
+    _assert_same_build(numeric.partial_h(), Lagrangian({(2, 0): 6, (0, 2): 5}))
+    _assert_same_build(numeric.partial_k(), Lagrangian({(1, 1): 10, (0, 1): 4}))
+    for partial in (numeric.partial_h(), numeric.partial_k()):
+        _assert_same_build(partial, _public(partial))
+    # the symbolic Lagrangian is left as it was, and keeps its unknowns
+    assert lag.unknowns == ("a1", "a2", "a3", "p")
+    message = re.escape("Lagrangian still has unknowns: ('a1', 'a2', 'a3', 'p')")
+    for require in (lag.partial_h, lag.partial_k, lambda: el_residual(CLIFFORD, lag)):
+        with pytest.raises(ValueError, match=message):
+            require()
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: solve_pure_h(6, Fraction(3, 2)), lambda: solve_with_gauss(4, Fraction(3, 2), None, Fraction(27, 4))],
+    ids=["pure_h n=6", "default K n=4"],
+)
+def test_family_members_equal_public_builds(solve):
+    report = solve()
+    family = family_lagrangian(report.degree, report.kterms)
+    # the first free value is zero, so its terms drop out
+    for values in (
+        {f: Fraction(k, 3) for k, f in enumerate(report.free_parameters)},
+        {f: Fraction(2 * k + 1, 5) for k, f in enumerate(report.free_parameters)},
+    ):
+        resolved = {name: form.evaluate(values) for name, form in report.assignments.items()}
+        expected = Lagrangian({km: resolved[name] for km, name in family.terms.items()}, resolved[family.pressure])
+        _assert_same_build(report.lagrangian_at(values), expected)
+    with pytest.raises(KeyError):
+        report.lagrangian_at({})
+
+
+def test_lagrangian_rejects_floats_like_linear_form():
+    builds = (
+        lambda: Lagrangian.pure_h({2: 0.1}),
+        lambda: Lagrangian.pure_h({2: 1}, 0.5),
+        lambda: Lagrangian({(1, 1): 1.0}),
+        lambda: Lagrangian.pure_h({2: "a1"}).substitute({"a1": 0.1}),
+        lambda: helfrich_lagrangian(1, 0.5, 0),
+        lambda: LinearForm({"a": 0.1}),
+    )
+    for build in builds:
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            build()
 
 
 def _exact_families_columns():
