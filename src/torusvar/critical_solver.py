@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import shape_equation
-from .exact_algebra import LinearForm, PencilReduction, ReducedRows, reduce_pencil, reduce_rows
+from .exact_algebra import LinearForm, PencilReduction, ReducedRows, _as_fraction, reduce_pencil, reduce_rows
 from .h_calculus import DEFAULT_GRID, ExactTorus
 from .shape_equation import Lagrangian, ResidualRows, el_residual
 
@@ -148,7 +148,7 @@ class SolutionReport(NamedTuple):
 
     def lagrangian_at(self, free_values: Mapping[str, Fraction]) -> Lagrangian:
         """Instantiate the family at concrete free-parameter values."""
-        values = {name: Fraction(v) for name, v in free_values.items()}
+        values = {name: _as_fraction(v) for name, v in free_values.items()}
         # every free value must be given, but only a nonzero one enters a sum
         nonzero = [(name, value) for name in self.free_parameters if (value := values[name])]
         resolved = {}
@@ -175,7 +175,7 @@ def delta_radii_polynomial(n: int, a2: Fraction, r2: Fraction) -> tuple[Fraction
     {a2, a3, a4, a8, p} loses rank.  The set this package binds with the
     default K terms, {p, a8, a7, a6, a5}, loses rank only at a^2 = 2r^2.
     """
-    a2, r2 = Fraction(a2), Fraction(r2)
+    a2, r2 = _as_fraction(a2), _as_fraction(r2)
     if n == 4:
         factors = [
             ("a^2-2r^2", a2 - 2 * r2),
@@ -257,7 +257,7 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     where its pivot polynomial vanishes."""
     _, rows, order = _family(n, kterms)
     if a2 is None:
-        r = Fraction(r)
+        r = _as_fraction(r)
         if r <= 0:
             raise ValueError(f"need r > 0, got r={r}")
         constraint, reduced = _constrained(n, kterms)

@@ -125,34 +125,37 @@ def second_variation(
     e_h = lagrangian.partial_h()
 
     s = SampledTorus(t, n)
-    h, k, w = s.h, s.k, s.w
-    g_uu = 1.0 / t.r**2
-    g_vv = 1.0 / w**2
-    k_h_uu = k / t.r  # K h^{uu}
-    k_h_vv = 1.0 / (t.r * w**2)  # K h^{vv}, finite although h22 vanishes
-
+    h, k = s.h, s.k
     e_val = lagrangian.eval_at(s)
     de = e_h.eval_at(s)
     d2e = e_h.partial_h().eval_at(s)
     p = float(pressure)
-    h2 = s.h_power(2)
+    half_ii_sq = 2.0 * s.h_power(2) - k  # 2 H^2 - K, half the squared norm of II
 
-    big_e1 = (2.0 * h2 - k) ** 2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
-    big_e2 = (2.0 * h2 - k) * d2e + 2.0 * h * de - e_val
+    big_e1 = half_ii_sq**2 * d2e - 2.0 * h * k * de + 2.0 * k * e_val - 2.0 * h * p
+    big_e2 = half_ii_sq * d2e + 2.0 * h * de - e_val
 
     # f is differenced once, together with H f, for both operators and the
     # gradient terms
     f = omega.values(s.u)
+    f2 = f**2
     df, d_hf = spectral_derivative(np.stack((f, h * f)))
-    m2 = float(v_mode * v_mode)
-
-    lap_f = lb_numeric(s, f, df) - m2 * g_vv * f
-    div_tilde_f = divbar_numeric(s, f, df) - m2 * k_h_vv * f
-    grad_f_tilde_f = k_h_uu * df**2 + m2 * k_h_vv * f**2
-    grad_hf_grad_f = g_uu * d_hf * df + m2 * g_vv * h * f**2
+    lap_f = lb_numeric(s, f, df)
+    div_tilde_f = divbar_numeric(s, f, df)
+    grad_f_tilde_f = k / t.r * df**2  # K h^{uu} |df|^2
+    grad_hf_grad_f = 1.0 / t.r**2 * d_hf * df  # g^{uu} d(Hf) df
+    if v_mode >= 1:
+        m2 = float(v_mode * v_mode)
+        w2 = s.w**2
+        g_vv = 1.0 / w2
+        k_h_vv = 1.0 / (t.r * w2)  # K h^{vv}, finite although h22 vanishes
+        lap_f = lap_f - m2 * g_vv * f
+        div_tilde_f = div_tilde_f - m2 * k_h_vv * f
+        grad_f_tilde_f = grad_f_tilde_f + m2 * k_h_vv * f2
+        grad_hf_grad_f = grad_hf_grad_f + m2 * g_vv * h * f2
 
     integrand = (
-        big_e1 * f**2
+        big_e1 * f2
         + big_e2 * f * lap_f
         - 2.0 * de * f * div_tilde_f
         + 0.25 * d2e * lap_f**2

@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .exact_algebra import HPoly
+from .exact_algebra import HPoly, _as_fraction
 
 __all__ = [
     "ExactTorus",
@@ -114,8 +114,8 @@ class TorusShape:
     @staticmethod
     def from_ratio(ratio, r) -> "TorusShape":
         """Build from the aspect ratio a**2/r**2 and exact r, as an ExactTorus."""
-        r = Fraction(r)
-        return ExactTorus(Fraction(ratio) * r * r, r).to_shape()
+        r = _as_fraction(r)
+        return ExactTorus(_as_fraction(ratio) * r * r, r).to_shape()
 
     @property
     def ratio(self) -> float:
@@ -131,7 +131,7 @@ class ExactTorus:
     __slots__ = ("a2", "r", "r2", "ratio")
 
     def __init__(self, a2: Fraction, r: Fraction):
-        self.a2, self.r = Fraction(a2), Fraction(r)
+        self.a2, self.r = _as_fraction(a2), _as_fraction(r)
         self.r2 = self.r * self.r
         if self.r <= 0 or self.a2 <= self.r2:
             raise ValueError(f"need a^2 > r^2 and r > 0, got a^2={self.a2}, r={self.r}")

@@ -368,7 +368,7 @@ def sphere_residual(radius: Fraction, lagrangian: Lagrangian) -> Fraction:
     (E = 1) is critical at the Laplace pressure 2/R.
     """
     lagrangian._require_numeric()
-    radius = Fraction(radius)
+    radius = _as_fraction(radius)
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
     h = 1 / radius

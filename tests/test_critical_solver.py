@@ -393,6 +393,16 @@ def test_solver_input_validation():
         solve_with_gauss(4, 1, kterms=default_kterms(4), a2=None)
 
 
+def test_solvers_reject_float_radii():
+    for call in (
+        lambda: solve_pure_h(3, 1.1),
+        lambda: solve_with_gauss(4, 1.5, a2=Fraction(27, 4)),
+        lambda: delta_radii_polynomial(4, 2.1, 1),
+    ):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            call()
+
+
 def test_fixed_coefficients_can_make_the_system_inconsistent():
     # pin a1 = 1 on a quadratic family at a ratio other than 2: no critical
     # point exists, and the solve says so instead of raising
@@ -448,6 +458,12 @@ def test_report_instantiates_numeric_lagrangians():
     assert lag.terms[(3, 0)] == 1
     assert lag.terms[(2, 0)] == Fraction(15, 2)
     assert lag.pressure == 0  # a3 = 3 a1 / r^2 is the zero-pressure member
+
+
+def test_lagrangian_at_rejects_float_values():
+    rep = solve_pure_h(3, 1)
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        rep.lagrangian_at({"a1": 0.1, "a3": 0.1})
 
 
 NOTE_RATIOS = (Fraction(2), Fraction(6, 5), Fraction(3), Fraction(25, 8), Fraction(7, 2))

@@ -7,6 +7,7 @@ import pytest
 from torusvar.exact_algebra import HPoly
 from torusvar.h_calculus import (
     ExactTorus,
+    TorusShape,
     divbar_bilinear,
     divbar_h,
     divbar_k,
@@ -254,3 +255,18 @@ def test_exact_torus_validation():
         ExactTorus(Fraction(1), 1)
     with pytest.raises(ValueError):
         ExactTorus(Fraction(4), -1)
+
+
+def test_exact_torus_rejects_floats():
+    # Fraction(2.1) would store a^2 = 4728779608739021/2251799813685248
+    for a2, r in ((2.1, 1), (Fraction(4), 1.0)):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            ExactTorus(a2, r)
+    assert ExactTorus("21/10", 1).a2 == Fraction(21, 10)
+
+
+def test_torus_shape_from_ratio_rejects_floats():
+    for ratio, r in ((2.5, 1), (Fraction(5, 2), 0.5)):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            TorusShape.from_ratio(ratio, r)
+    assert TorusShape.from_ratio(Fraction(5, 2), 2).a2 == 10

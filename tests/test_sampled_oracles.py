@@ -3,6 +3,7 @@ give the same floats, bit for bit, as the plain per-call reference of
 ``tests/oracles.py``, and a NaN on the grid must reach the verdict."""
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,14 @@ from torusvar.shape_equation import Lagrangian, el_residual_numeric_scaled
 from torusvar.torus_geometry import SampledTorus, TorusShape, area_volume, lb_numeric
 
 GRIDS = (16, 18, 256, 2048, 16384)
-# (a^2, r) of the tori: generic, near the Clifford ratio, close to 1
-TORI = [ExactTorus(Fraction(25, 8), Fraction(17, 16)), ExactTorus(Fraction(2), 1), ExactTorus(Fraction(56, 55) * Fraction(9, 4), Fraction(3, 2))]
+# (a^2, r) of the tori: generic, near the Clifford ratio, close to 1, and
+# above 4, where H > 0 on the whole torus
+TORI = [
+    ExactTorus(Fraction(25, 8), Fraction(17, 16)),
+    ExactTorus(Fraction(2), 1),
+    ExactTorus(Fraction(56, 55) * Fraction(9, 4), Fraction(3, 2)),
+    ExactTorus(Fraction(9), 1),
+]
 LAGRANGIANS = [
     Lagrangian.pure_h({2: 1}),
     Lagrangian({(0, 0): Fraction(3, 7), (2, 0): 2, (1, 1): Fraction(-5, 3), (0, 2): Fraction(1, 9), (3, 1): 4}, Fraction(7, 5)),
@@ -163,8 +170,39 @@ def test_a_nan_anywhere_on_the_grid_reaches_the_verdict(monkeypatch, index):
 def test_sampled_torus_keeps_its_powers_and_checks_the_grid():
     s = SampledTorus(TorusShape(2.0, 1.0), 64)
     assert s.h_power(3) is s.h_power(3)
-    assert same(s.h_power(3), s.h**3) and same(s.k_power(2), s.k**2)
+    assert same(s.h_power(3), s.h * s.h * s.h) and same(s.k_power(2), s.k**2)
     with pytest.raises(ValueError, match="62 samples on a torus sampled at 64 points"):
         lb_numeric(s, np.zeros(62))
     # the grid check stays in the operators; sampling takes any grid
     assert SampledTorus(TorusShape(2.0, 1.0), 9).area_integral(1.0) > 0
+
+
+@pytest.mark.parametrize("torus", TORI, ids=str)
+def test_powers_are_within_e_minus_1_roundings_of_the_exact_power(torus):
+    s = SampledTorus(torus.to_shape(), 256)
+    smallest = Fraction(sys.float_info.min)
+    checked = 0
+    for field, power in ((s.h, s.h_power), (s.k, s.k_power)):
+        for node, x in enumerate(field):
+            exact = Fraction(1)
+            for e in range(1, 17):
+                exact *= Fraction(x)
+                # below the normal range the float power underflows, by any recipe
+                if e == 1 or abs(exact) < smallest:
+                    continue
+                error = abs(Fraction(power(e)[node]) - exact)
+                assert error <= (e - 1) * abs(exact) / 2**53, (node, e)
+                checked += 1
+    assert checked > 2 * 256 * 15 * 0.9
+
+
+def test_powers_do_not_depend_on_the_order_they_are_asked_in():
+    shape = TORI[0].to_shape()
+    ascending, descending = SampledTorus(shape, 256), SampledTorus(shape, 256)
+    for e in range(2, 8):
+        ascending.h_power(e), ascending.k_power(e)
+    for e in (7, 3, 5, 2):
+        descending.h_power(e), descending.k_power(e)
+    for e in range(2, 8):
+        assert same(descending.h_power(e), ascending.h_power(e))
+        assert same(descending.k_power(e), ascending.k_power(e))

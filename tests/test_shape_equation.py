@@ -314,6 +314,13 @@ def test_family_members_equal_public_builds(solve):
         report.lagrangian_at({})
 
 
+def test_sphere_residual_rejects_a_float_radius():
+    # Fraction(0.1) would give -144115188075855872/3602879701896397
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        sphere_residual(0.1, Lagrangian.pure_h({0: 1}))
+    assert sphere_residual(Fraction(1, 10), Lagrangian.pure_h({0: 1})) == -40
+
+
 def test_lagrangian_rejects_floats_like_linear_form():
     builds = (
         lambda: Lagrangian.pure_h({2: 0.1}),
