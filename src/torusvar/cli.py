@@ -136,7 +136,8 @@ def _quiet_floats():
 
 
 def _emit(payload: dict, text: str, args) -> None:
-    """Write the report; a non-finite result is raised instead (exit 3)."""
+    """Write the report; a non-finite result is raised instead (exit 3), and
+    an ``--out`` that cannot be written is bad input (exit 4)."""
     bad = _non_finite(payload)
     if bad:
         raise FloatingPointError("non-finite result: " + ", ".join(bad))
@@ -145,8 +146,11 @@ def _emit(payload: dict, text: str, args) -> None:
     else:
         body = text
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(body)
 

@@ -58,7 +58,8 @@ PRESSURE = "p"
 
 
 def default_kterms(n: int) -> tuple[tuple[int, int], ...]:
-    """Gaussian-curvature term sets used by the worked degree-3/4/5 families.
+    """Gaussian-curvature term sets used by the worked degree-3/4/5 families,
+    and :func:`theorem_kterms` for every other degree.
 
     Entries are (H power, K power) with K power >= 1; the inert standalone K
     term is omitted since it never contributes to the residual.
@@ -70,9 +71,7 @@ def default_kterms(n: int) -> tuple[tuple[int, int], ...]:
     }
     if n in known:
         return known[n]
-    return tuple(
-        (k, m) for m in range(1, n // 2 + 1) for k in range(0, n - 2 * m + 1) if (k, m) != (0, 1)
-    )
+    return tuple(km for km in theorem_kterms(n) if km != (0, 1))
 
 
 def theorem_kterms(n: int) -> tuple[tuple[int, int], ...]:

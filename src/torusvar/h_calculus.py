@@ -14,16 +14,16 @@ Every operator is homogeneous in the radii: written in x = r H and
 rho = a^2 / r^2, an operator of inverse-length weight d is r^-d times a
 polynomial in x whose coefficients are U_p + V_p / rho with integers U_p and
 V_p (the affine form in 1/rho is the 1/a^2 of the eliminations above).  The
-table below holds those integer pairs once, for every torus.  Every exact
-operator goes through one integer chain rule, op(f) = f' op(x) + f'' B(x)
-with B the operator's remainder (:func:`chain_rule`; the residual columns of
-:mod:`torusvar.shape_equation`, :func:`laplacian_poly`, :func:`divbar_poly`,
-and the table of each power H^k that :func:`laplacian_power` and
-:func:`divbar_power` build once per process), and one reader, :func:`read`,
-which puts r^(p - d) (U_p + V_p / rho) on H^p from the integers
-num U_p + den V_p at rho = num / den (the closed forms, ``el_system``,
-``el_residual``).  Every closed form is regression-tested against the
-independent spectral operators of :mod:`torusvar.torus_geometry`.
+table below holds those integer pairs once, for every torus.  The chain rule
+is applied in one place, the table of each power op(x^k) = k x^(k-1) op(x)
++ k (k-1) x^(k-2) B(x), with B the operator's remainder (:func:`power_table`,
+built once per process); every other exact operator value is a sum of those
+tables (:func:`laplacian_poly`, :func:`divbar_poly`, and the residual columns
+of :mod:`torusvar.shape_equation`).  One reader, :func:`read`, puts
+r^(p - d) (U_p + V_p / rho) on H^p from the integers num U_p + den V_p at
+rho = num / den (the closed forms, ``el_system``, ``el_residual``).  Every
+closed form is regression-tested against the independent spectral operators
+of :mod:`torusvar.torus_geometry`.
 
 Only even powers of the large radius appear, so all of these are exact
 rationals whenever a**2 and r are rational, even when a itself is not (the
@@ -44,7 +44,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact_algebra import HPoly, _as_fraction
 
@@ -150,40 +150,21 @@ class ExactTorus:
         return TorusShape(a=a, r=r, a2=self.a2, r2=self.r2)
 
 
-# an integer polynomial x^shift * (c_0 + c_1 x + ...)
-Shifted = tuple[int, list[int]]
-
-
-def _derivative(f: Shifted) -> Shifted:
-    shift, coeffs = f
-    if shift:
-        return shift - 1, [(shift + m) * c for m, c in enumerate(coeffs)]
-    return 0, [m * c for m, c in enumerate(coeffs)][1:]
-
-
-def products_sum(pairs: Iterable[tuple[Shifted, Sequence[int]]]) -> list[int]:
-    """Sum of the products f q of shifted and plain integer coefficient
-    lists, as one plain list with trailing zeros trimmed."""
+def products_sum(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
+    """Sum of the products p q of integer coefficient lists, as one list
+    with trailing zeros trimmed."""
     out: list[int] = []
-    for (shift, p), q in pairs:
-        size = shift + len(p) + len(q) - 1
+    for p, q in pairs:
+        size = len(p) + len(q) - 1
         if len(out) < size:
             out.extend([0] * (size - len(out)))
-        for a, pa in enumerate(p, shift):
+        for a, pa in enumerate(p):
             if pa:
                 for b, qb in enumerate(q, a):
                     out[b] += pa * qb
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def chain_rule(f: Shifted, op: IntTable, remainder: IntTable) -> tuple[list, list]:
-    """The product pairs of op(f) = f' op(x) + f'' B(x), B the operator's
-    remainder, whose :func:`products_sum` is the U part and the V part."""
-    d1 = _derivative(f)
-    d2 = _derivative(d1)
-    return [(d1, op[0]), (d2, remainder[0])], [(d1, op[1]), (d2, remainder[1])]
 
 
 def read(t: ExactTorus, rows: Sequence[int], weight: int, denom: int = 1) -> list[Fraction]:
@@ -244,54 +225,47 @@ def divbar_bilinear(t: ExactTorus) -> HPoly:
     return _on_torus(t, BILINEAR, 5)
 
 
-def _poly_chain_rule(t: ExactTorus, f: HPoly, op: IntTable, remainder: IntTable, weight: int) -> HPoly:
-    """op(f(H)) on t, for an operator of weight ``weight`` + 1: with r = rn / rd and
-    n = deg f, f(H) = g(r H) / (D rn^n) with the integers g_k = f_k D rd^k rn^(n - k),
-    D the common denominator of the f_k; each derivative in H brings a factor r."""
-    n = max(f.degree, 0)
-    rn, rd = t.r.numerator, t.r.denominator
-    denom = math.lcm(*(c.denominator for c in f.coeffs))
-    g = [c.numerator * (denom // c.denominator) * rd**k * rn ** (n - k) for k, c in enumerate(f.coeffs)]
-    u, v = chain_rule((0, g), op, remainder)
-    return _on_torus(t, (products_sum(u), products_sum(v)), weight, denom * rn**n)
-
-
-def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    """div_bar of an arbitrary polynomial f(H), by the chain rule."""
-    return _poly_chain_rule(t, f, DIVBAR_H, BILINEAR, 3)
-
-
-def laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
-    """Laplace-Beltrami of an arbitrary polynomial f(H), by the chain rule."""
-    return _poly_chain_rule(t, f, LAPLACIAN_H, GRAD_H_SQUARED, 2)
-
-
-# (operator, power) tables that are kept; an identities check reads nine
-POWER_MEMO_SIZE = 32
+# (operator, power) tables that are kept; the residual columns of an
+# exact-families run read 37, and a numeric-oracles run 17
+POWER_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=POWER_MEMO_SIZE)
-def _power_table(divbar: bool, k: int) -> IntTable:
-    """The integer table of op(H^k), op div_bar if ``divbar`` else the
-    Laplacian: the chain rule on x^k, the same on every torus, so it is
-    built once per process and shared, as tuples."""
-    op, remainder = (DIVBAR_H, BILINEAR) if divbar else (LAPLACIAN_H, GRAD_H_SQUARED)
-    u, v = chain_rule((k, [1]), op, remainder)
-    return tuple(products_sum(u)), tuple(products_sum(v))
-
-
-def _power(t: ExactTorus, divbar: bool, k: int) -> HPoly:
+def power_table(divbar: bool, k: int) -> IntTable:
+    """The integer table of op(x^k), op div_bar if ``divbar`` else the
+    Laplacian, by the chain rule op(x^k) = k x^(k-1) op(x) + k (k-1) x^(k-2) B(x),
+    B the operator's remainder; the same on every torus, so it is built once
+    per process and shared, as tuples."""
     if k < 0:
         raise ValueError(f"power must be nonnegative, got {k}")
-    # op(H^k) = op(x^k) / r^k: the table of weight k plus the operator's
-    return _on_torus(t, _power_table(divbar, k), k + (3 if divbar else 2))
+    op, remainder = (DIVBAR_H, BILINEAR) if divbar else (LAPLACIAN_H, GRAD_H_SQUARED)
+    # k x^(k-1) and k (k-1) x^(k-2); a list whose power would be negative is [0]
+    d1, d2 = [0] * (k - 1) + [k], [0] * (k - 2) + [k * (k - 1)]
+    return tuple(tuple(products_sum([(d1, o), (d2, b)])) for o, b in zip(op, remainder))
 
 
 def laplacian_power(t: ExactTorus, k: int) -> HPoly:
-    """Laplace-Beltrami of H^k; equals ``laplacian_poly`` of H^k."""
-    return _power(t, False, k)
+    """Laplace-Beltrami of H^k = x^k / r^k: the table of op(x^k), of weight k + 2."""
+    return _on_torus(t, power_table(False, k), k + 2)
 
 
 def divbar_power(t: ExactTorus, k: int) -> HPoly:
-    """div_bar of H^k; equals ``divbar_poly`` of H^k."""
-    return _power(t, True, k)
+    """div_bar of H^k = x^k / r^k: the table of op(x^k), of weight k + 3."""
+    return _on_torus(t, power_table(True, k), k + 3)
+
+
+def _sum_powers(t: ExactTorus, f: HPoly, power: Callable[[ExactTorus, int], HPoly]) -> HPoly:
+    terms = [[c * x for x in power(t, k).coeffs] for k, c in enumerate(f.coeffs) if c]
+    return HPoly.of(map(sum, zip_longest(*terms, fillvalue=0)))
+
+
+def laplacian_poly(t: ExactTorus, f: HPoly) -> HPoly:
+    """Laplace-Beltrami of an arbitrary polynomial f(H), the sum of f_k
+    ``laplacian_power(t, k)``."""
+    return _sum_powers(t, f, laplacian_power)
+
+
+def divbar_poly(t: ExactTorus, f: HPoly) -> HPoly:
+    """div_bar of an arbitrary polynomial f(H), the sum of f_k
+    ``divbar_power(t, k)``."""
+    return _sum_powers(t, f, divbar_power)

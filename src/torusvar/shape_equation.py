@@ -14,9 +14,9 @@ to a single polynomial in H; it is linear in the Lagrangian coefficients and
 in p, so with unknown coefficients each power of H yields one linear equation.
 
 Two independent evaluation routes are provided: the exact route through one
-integer column per monomial H^i K^j (:func:`residual_column`, built from the
-operator table of :mod:`torusvar.h_calculus` and valid on every torus), and a
-fully numeric route through the spectral grid operators of
+integer column per monomial H^i K^j (:func:`residual_column`, a sum of the
+per-power operator tables of :mod:`torusvar.h_calculus`, valid on every
+torus), and a fully numeric route through the spectral grid operators of
 :mod:`torusvar.torus_geometry` alone, used as a cross-check oracle; it reads
 every field from one :class:`~torusvar.torus_geometry.SampledTorus`.  Only
 the numeric route needs numpy, and it loads it (with the grid operators)
@@ -184,35 +184,34 @@ def residual_column(i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     The table is the same on every torus, so it is built once per process
     and shared, as tuples.
 
-    lap and div_bar of a polynomial f(x) expand by the chain rule
-    f' op(x) + f'' B(x), with B = |grad H|^2 for lap and the bilinear term
-    for div_bar; only these operators carry a 1/rho part, and each enters
-    linearly, which is where the affine form in 1/rho comes from.
+    In x = r H at r = 1, with K = 2 x - 1, dE/dH and dE/dK are integer
+    polynomials in x, so lap and div_bar of them are sums of the per-power
+    tables op(x^k) of :func:`~torusvar.h_calculus.power_table`, weighted by
+    their coefficients; only these operators carry a 1/rho part, and each
+    enters linearly, which is where the affine form in 1/rho comes from.
     """
 
-    def term(h_power: int, k_power: int, coeff: int) -> h_calculus.Shifted:
-        # coeff * x^h_power * K_hat^k_power, with K_hat = 2 x - 1
-        return h_power, [
-            coeff * comb(k_power, m) * 2**m * (-1) ** (k_power - m) for m in range(k_power + 1)
-        ]
+    def term(h_power: int, k_power: int, coeff: int) -> list[int]:
+        # coeff * x^h_power * (2 x - 1)^k_power
+        return [0] * h_power + [coeff * comb(k_power, m) * 2**m * (-1) ** (k_power - m) for m in range(k_power + 1)]
 
-    # (partial of E, its operator, the operator's chain-rule remainder B,
-    # the algebraic factor) for each partial that is present
+    # (partial of E, its operator, the algebraic factor) for each partial
+    # that is present: (lap + 4H^2 - 2K) dE/dH, and 2 (div_bar + 2KH) dE/dK
+    # with the 2 folded into dE/dK
     parts = []
     if i >= 1:
-        # (lap + 4H^2 - 2K) dE/dH
-        e_h = term(i - 1, j, i)
-        parts.append((e_h, h_calculus.LAPLACIAN_H, h_calculus.GRAD_H_SQUARED, [2, -4, 4]))
+        parts.append((term(i - 1, j, i), False, [2, -4, 4]))
     if j >= 1:
-        # 2 (div_bar + 2KH) dE/dK, with the 2 folded into dE/dK
-        e_k = term(i, j - 1, 2 * j)
-        parts.append((e_k, h_calculus.DIVBAR_H, h_calculus.BILINEAR, [0, -2, 4]))
+        parts.append((term(i, j - 1, 2 * j), True, [0, -2, 4]))
     u_pairs = [(term(i + 1, j, -4), [1])]  # -4HE
     v_pairs = []
-    for e, op, remainder, algebraic in parts:
-        u, v = h_calculus.chain_rule(e, op, remainder)
-        u_pairs += [*u, (e, algebraic)]
-        v_pairs += v
+    for e, divbar, algebraic in parts:
+        u_pairs.append((e, algebraic))
+        for k, c in enumerate(e):
+            if c:
+                u, v = h_calculus.power_table(divbar, k)
+                u_pairs.append(([c], u))
+                v_pairs.append(([c], v))
     return tuple(h_calculus.products_sum(u_pairs)), tuple(h_calculus.products_sum(v_pairs))
 
 

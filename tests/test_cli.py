@@ -318,6 +318,25 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_writes_what_stdout_shows(tmp_path, capsys, fmt):
+    argv = ["solve", "--degree", "3", "--r", "1", "--format", fmt]
+    code, shown = run(capsys, *argv)
+    out_path = tmp_path / "report"
+    assert code == 0 and run(capsys, *argv, "--out", str(out_path)) == (0, "")
+    assert out_path.read_bytes() == shown.encode()
+
+
+@pytest.mark.parametrize("where", ["missing/dir/x.json", "."], ids=["missing directory", "a directory"])
+def test_an_unwritable_out_is_bad_input(tmp_path, capsys, where):
+    path = str(tmp_path / where)
+    assert main(["solve", "--degree", "3", "--r", "1", "--out", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"torusvar: error: cannot write --out {path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_text_output_is_deterministic(capsys):
     _, first = run(capsys, "energy", "--degree", "4", "--r", "1")
     _, second = run(capsys, "energy", "--degree", "4", "--r", "1")

@@ -335,6 +335,11 @@ def test_theorem_term_ladder_counts():
     assert default_kterms(6) == tuple(
         (k, m) for m in (1, 2, 3) for k in range(0, 7 - 2 * m) if (k, m) != (0, 1)
     )
+    # every degree outside the worked 3, 4, 5 reads the theorem ladder
+    for n in (2, *range(7, 21)):
+        assert default_kterms(n) == tuple(
+            (k, m) for m in range(1, n // 2 + 1) for k in range(0, n - 2 * m + 1) if (k, m) != (0, 1)
+        ), n
 
 
 def test_free_parameter_counts_match_the_stated_tallies():

@@ -4,9 +4,11 @@ each family's rows, each constraint family's ratio and its reduction there,
 and each family's reduction over Z[rho].  Nothing is kept per ratio.  A memo
 may change how fast a solve runs, never what it returns."""
 
+import ast
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,8 @@ FAMILIES = (
     + [("theorem K n=8", 8, ["--with-gauss", "--terms", THEOREM_8], Fraction(25, 8))]
 )
 K2_HK = ((0, 2), (1, 1))
+SRC = Path(h_calculus.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
 
 
 def clear_memos():
@@ -43,7 +47,7 @@ def clear_memos():
     critical_solver._pencil.cache_clear()
     residual_column.cache_clear()
     shape_equation._rows_tables.cache_clear()
-    h_calculus._power_table.cache_clear()
+    h_calculus.power_table.cache_clear()
 
 
 def counted(monkeypatch, name):
@@ -169,6 +173,52 @@ def test_the_family_memo_has_a_constant_bound():
     assert critical_solver._pencil.cache_info().currsize == size
 
 
+def _decorator_name(node):
+    # "lru_cache" for lru_cache, functools.lru_cache and their calls
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_every_memo_is_bounded_by_a_named_constant_the_readme_gives():
+    # a functools cache is bounded by maxsize= a module-level int named
+    # *_MEMO_SIZE, which README states with its value; an unbounded cache
+    # holds one value at most, so it is allowed on a function of no argument
+    readme = README.read_text()
+    bounded = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {
+            node.targets[0].id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [type(target) for target in node.targets] == [ast.Name]
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                kind = _decorator_name(decorator)
+                if kind not in ("lru_cache", "cache"):
+                    continue
+                where = f"{path.name}: {node.name}"
+                sizes = [k.value for k in getattr(decorator, "keywords", ()) if k.arg == "maxsize"]
+                if kind == "cache" or (sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                    arguments = node.args
+                    assert not (
+                        arguments.posonlyargs or arguments.args or arguments.vararg or arguments.kwonlyargs or arguments.kwarg
+                    ), f"unbounded cache on a function with arguments, {where}"
+                    continue
+                assert isinstance(decorator, ast.Call) and not decorator.args, where
+                assert len(sizes) == 1 and isinstance(sizes[0], ast.Name), where
+                name = sizes[0].id
+                assert name.endswith("_MEMO_SIZE") and name in constants, where
+                assert f"`{name} = {constants[name]}`" in readme, where
+                bounded.append(name)
+    assert {"COLUMN_MEMO_SIZE", "ROWS_MEMO_SIZE", "POWER_MEMO_SIZE", "FAMILY_MEMO_SIZE", "GRID_MEMO_SIZE"} <= set(bounded)
+
+
 def test_each_table_memo_stops_at_its_constant():
     clear_memos()
     size = shape_equation.ROWS_MEMO_SIZE
@@ -177,27 +227,27 @@ def test_each_table_memo_stops_at_its_constant():
         ResidualRows.of(Lagrangian({(i, 0): 1}))
     assert shape_equation._rows_tables.cache_info().currsize == size
     size = h_calculus.POWER_MEMO_SIZE
-    assert type(size) is int and h_calculus._power_table.cache_info().maxsize == size
+    assert type(size) is int and h_calculus.power_table.cache_info().maxsize == size
     torus = h_calculus.ExactTorus(3, 1)
     for k in range(size // 2 + 8):
         h_calculus.laplacian_power(torus, k)
         h_calculus.divbar_power(torus, k)
-    assert h_calculus._power_table.cache_info().currsize == size
+    assert h_calculus.power_table.cache_info().currsize == size
 
 
 def test_a_second_identities_or_verify_builds_no_table(monkeypatch):
     # the first identities check and the first verify of a family build the
-    # operator and residual tables by the chain rule; a new torus, or a new
-    # member of the same family, reads them and runs the chain rule no more
+    # operator and residual tables, each a products_sum; a new torus, or a
+    # new member of the same family, reads them and builds no table
     clear_memos()
     calls = []
-    chain_rule = h_calculus.chain_rule
+    products_sum = h_calculus.products_sum
 
     def counting(*args):
         calls.append(args)
-        return chain_rule(*args)
+        return products_sum(*args)
 
-    monkeypatch.setattr(h_calculus, "chain_rule", counting)
+    monkeypatch.setattr(h_calculus, "products_sum", counting)
     report = solve_with_gauss(4, Fraction(3, 2), None, Fraction(27, 4))
     clear_memos()
     checks = []

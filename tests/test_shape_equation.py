@@ -356,6 +356,23 @@ def test_integer_columns_match_the_closed_form_residual():
             assert HPoly.of(coeffs).coeffs == monomial_residual(t, i, j), (i, j)
 
 
+def test_columns_are_banded_and_pure_h_tops_give_the_theorem_ratio():
+    # op(x^k) touches only x^(k-1) .. x^(k+3), so the column of H^i K^j is
+    # nonzero only in rows i - 3 .. i + 1 for j = 0, and i - 3 .. i + j + 2
+    # for j >= 1
+    for i in range(65):
+        for j in range(4):
+            top = i + 1 if j == 0 else i + j + 2
+            for part in residual_column(i, j):
+                assert all(c == 0 for p, c in enumerate(part) if not i - 3 <= p <= top), (i, j)
+    # the top row of H^i is U + V / rho with U = -4 (i-1)(i^2-i-1) and
+    # V = 4 i (i-1)^2, zero at the pure-H ratio rho = (i^2-i)/(i^2-i-1)
+    for i in range(2, 65):
+        u, v = residual_column(i, 0)
+        assert (u[i + 1], v[i + 1]) == (-4 * (i - 1) * (i * i - i - 1), 4 * i * (i - 1) ** 2), i
+        assert len(u) == len(v) == i + 2
+
+
 def test_el_residual_matches_the_closed_form_residual():
     rng = random.Random(41)
     columns = _exact_families_columns()
