@@ -109,14 +109,25 @@ def _non_finite(value, path: str = "") -> list[str]:
     return [bad for key, item in items for bad in _non_finite(item, f"{path}.{key}" if path else str(key))]
 
 
-def _tori(args, r: Fraction, ratios: list[Fraction], member: Lagrangian) -> tuple[list[TorusShape], dict]:
-    """The float tori at r and each a^2/r^2 in ``ratios``, and the JSON
-    diagnostics block of the one grid rule: --grid if given, else the finest
-    ``suggest_grid`` over those tori.  First the one float rule of the numeric
-    commands: each torus passes :meth:`ExactTorus.to_shape`, and then every
-    coefficient of the evaluated ``member``, its pressure included, is 0 or a
-    normal float."""
-    shapes = [TorusShape.from_ratio(rho, r) for rho in ratios]
+def _named_tori(r: Fraction, a2s: list[Fraction]) -> list[ExactTorus]:
+    """The tori at r and each a^2 in ``a2s`` that the command line names, each
+    built and put through :meth:`ExactTorus.to_shape` in turn, before any
+    solve; with none named, r^2 alone is checked."""
+    tori = []
+    for a2 in a2s:
+        tori.append(ExactTorus(a2, r))
+        tori[-1].to_shape()
+    if not tori:
+        h_calculus.check_float_range("r^2", r * r)
+    return tori
+
+
+def _tori(args, tori: list[ExactTorus], member: Lagrangian) -> tuple[list[TorusShape], dict]:
+    """Each of ``tori`` through :meth:`ExactTorus.to_shape`, then every
+    coefficient of the evaluated ``member``, its pressure included, checked
+    0 or a normal float; returns the float tori and the JSON diagnostics block
+    of the one grid rule: --grid if given, else the finest ``suggest_grid``."""
+    shapes = [t.to_shape() for t in tori]
     values = [(f"the coefficient of H^{i} K^{j}", c) for (i, j), c in member.terms.items()]
     for name, value in [*values, ("the pressure", member.pressure)]:
         h_calculus.check_float_range(name, value, " of the numeric commands")
@@ -286,23 +297,21 @@ def cmd_solve(args) -> int:
 
 
 def _default_free_values(report: SolutionReport) -> dict[str, Fraction]:
-    values = {name: Fraction(0) for name in report.free_parameters}
-    if "a1" in values:
-        values["a1"] = Fraction(1)
-    return values
+    return {name: Fraction(int(name == "a1")) for name in report.free_parameters}
 
 
-def _family_ratio(report: SolutionReport) -> Fraction:
-    """The a^2/r^2 a solved family is evaluated at: its own, else 2 for a
-    family that is critical at every ratio."""
-    return Fraction(2) if report.a2 is None else report.a2 / report.r**2
+def _family_torus(report: SolutionReport) -> ExactTorus:
+    """The torus a solved family is evaluated at: its own, else a^2 = 2 r^2
+    for a family that is critical at every ratio."""
+    return ExactTorus(2 * report.r**2 if report.a2 is None else report.a2, report.r)
 
 
 def cmd_verify(args) -> int:
+    _named_tori(parse_fraction(args.r), [parse_fraction(args.a2)] if args.with_gauss and args.a2 is not None else [])
     report = _solve_from_args(args)
-    torus = ExactTorus(_family_ratio(report) * report.r**2, report.r)
+    torus = _family_torus(report)
     values = _default_free_values(report)
-    _, diagnostics = _tori(args, torus.r, [torus.ratio], report.lagrangian_at(values))
+    _, diagnostics = _tori(args, [torus], report.lagrangian_at(values))
     with _quiet_floats():
         result = verify_solution(torus, report, values, diagnostics["grid"])
     ok = result.exact and result.numeric_relative < args.tolerance
@@ -322,32 +331,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _family_member(
-    degree: int, r: Fraction, ratio: Fraction | None
-) -> tuple[Lagrangian, Fraction | None, Fraction]:
+def _family_member(degree: int, r: Fraction) -> tuple[Lagrangian, SolutionReport]:
     """The degree-n pure-H family's a1 = 1 member, with p = 0 where the
-    family has one and else its own pressure, and the a^2/r^2 to evaluate it
-    at: ``ratio`` if given, else ``_family_ratio``.  Returns (member,
-    constraint, ratio)."""
+    family has one and else its own pressure, and the family's report."""
     report = solve_pure_h(degree, r)
     values = _default_free_values(report)
     p_form = report.assignments[critical_solver.PRESSURE]
     other = [x for x in report.free_parameters if x != "a1" and p_form.coefficient(x) != 0]
     if other:
         values[other[0]] = -p_form.coefficient("a1") / p_form.coefficient(other[0])
-    if ratio is None:
-        ratio = _family_ratio(report)
-    return report.lagrangian_at(values), report.constraint, ratio
+    return report.lagrangian_at(values), report
 
 
 def cmd_energy(args) -> int:
     from .energetics import curvature_energy
 
     r = parse_fraction(args.r)
-    lagrangian, constraint, ratio = _family_member(
-        args.degree, r, _exact(args.ratio) if args.a2 is None else ExactTorus(_exact(args.a2), r).ratio
-    )
-    (t,), diagnostics = _tori(args, r, [ratio], lagrangian)
+    a2 = _exact(args.a2) if args.ratio is None else parse_fraction(args.ratio) * r * r
+    named = _named_tori(r, [] if a2 is None else [a2])
+    lagrangian, family = _family_member(args.degree, r)
+    (torus,) = named or [_family_torus(family)]
+    (t,), diagnostics = _tori(args, [torus], lagrangian)
     grid = diagnostics["grid"]
     with _quiet_floats():
         report = curvature_energy(t, lagrangian, lagrangian.pressure, grid)
@@ -364,11 +368,11 @@ def cmd_energy(args) -> int:
         diagnostics,
         degree=args.degree,
         r=args.r,
-        a2=format_fraction(ratio * r * r),
-        ratio=format_fraction(ratio),
+        a2=format_fraction(torus.a2),
+        ratio=format_fraction(torus.ratio),
         grid=args.grid,
     )
-    payload["constraint"] = _fraction_or_none(constraint)
+    payload["constraint"] = _fraction_or_none(family.constraint)
     payload["energy"] = {
         "area_term": float(_fmt_float(report.area_term)),
         "pressure_term": float(_fmt_float(report.pressure_term)),
@@ -416,7 +420,7 @@ def _identity_checks(torus: ExactTorus, shape: TorusShape, n: int) -> list[tuple
 
 def cmd_identities(args) -> int:
     torus = ExactTorus(parse_fraction(args.a2), parse_fraction(args.r))
-    (shape,), diagnostics = _tori(args, torus.r, [torus.ratio], Lagrangian())
+    (shape,), diagnostics = _tori(args, [torus], Lagrangian())
     with _quiet_floats():
         checks = _identity_checks(torus, shape, diagnostics["grid"])
     lines = []
@@ -436,16 +440,15 @@ def cmd_scan(args) -> int:
     from .energetics import curvature_energy
 
     r = parse_fraction(args.r)
-    if args.ratios is not None:
-        ratios = _parse_list(args.ratios, "--ratios", parse_fraction)
-    else:
-        ratios = [Fraction(num, 20) for num in range(24, 81, 4)]
-    lagrangian, _, _ = _family_member(args.degree, r, None)
-    shapes, diagnostics = _tori(args, r, ratios, lagrangian)
+    ratios = [] if args.ratios is None else _parse_list(args.ratios, "--ratios", parse_fraction)
+    tori = _named_tori(r, [rho * r * r for rho in ratios])
+    lagrangian, _ = _family_member(args.degree, r)
+    tori = tori or [ExactTorus(Fraction(num, 20) * r * r, r) for num in range(24, 81, 4)]
+    shapes, diagnostics = _tori(args, tori, lagrangian)
     with _quiet_floats():
         rows = [
-            (rho, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
-            for rho, t in zip(ratios, shapes)
+            (torus.ratio, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
+            for torus, t in zip(tori, shapes)
         ]
     lines = [f"{'a^2/r^2':<12} energy/a1"]
     for rho, value in rows:
@@ -483,8 +486,10 @@ def cmd_second_variation(args) -> int:
         modes[kind][index] = amplitude
     omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
-    lagrangian, _, ratio = _family_member(args.degree, r, _exact(args.ratio))
-    (t,), diagnostics = _tori(args, r, [ratio], lagrangian)
+    named = _named_tori(r, [] if args.ratio is None else [parse_fraction(args.ratio) * r * r])
+    lagrangian, family = _family_member(args.degree, r)
+    (torus,) = named or [_family_torus(family)]
+    (t,), diagnostics = _tori(args, [torus], lagrangian)
     grid = diagnostics["grid"]
     top = max((*modes["cos"], *modes["sin"]))
     if top >= grid // 4:
@@ -501,7 +506,7 @@ def cmd_second_variation(args) -> int:
         diagnostics,
         degree=args.degree,
         r=args.r,
-        ratio=format_fraction(ratio),
+        ratio=format_fraction(torus.ratio),
         modes=args.modes,
         grid=args.grid,
     )

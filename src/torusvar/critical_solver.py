@@ -255,6 +255,7 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
     are read off the family's reduction over Z[rho], and reduced at rho only
     where its pivot polynomial vanishes."""
     _, rows, order = _family(n, kterms)
+    pencil = None
     if a2 is None:
         r = _as_fraction(r)
         if r <= 0:
@@ -263,8 +264,8 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
         a2 = None if constraint is None else constraint * r * r
     else:
         t = ExactTorus(a2, r)
-        constraint, r, a2 = None, t.r, t.a2
-        reduced = _pencil(n, kterms).at(t.ratio) or _reduce_at(rows, order, t.ratio)
+        constraint, r, a2, pencil = None, t.r, t.a2, _pencil(n, kterms)
+        reduced = pencil.at(t.ratio) or _reduce_at(rows, order, t.ratio)
     solution = reduced.solution(r, rows.weights)
 
     delta = None
@@ -275,8 +276,8 @@ def _solve(n: int, kterms: tuple[tuple[int, int], ...], r, a2) -> SolutionReport
         notes = ["radii polynomial vanishes: " + ", ".join(vanished)] if vanished else []
         # at a constraint ratio the rank drops by design, so only given radii
         # are compared with the pivots over Q(rho)
-        if constraint is None:
-            generic = {rows.coefficients[c] for c in _pencil(n, kterms).pivot_columns}
+        if pencil is not None:
+            generic = {rows.coefficients[c] for c in pencil.pivot_columns}
             actual = set(solution.pivot_unknowns)
             sides = ((generic - actual, "left free"), (actual - generic, "bound instead"))
             swaps = [f"{', '.join(sorted(names))} {what}" for names, what in sides if names]

@@ -178,10 +178,10 @@ def read(t: ExactTorus, rows: Sequence[int], weight: int, denom: int = 1) -> lis
     ]
 
 
-def _on_torus(t: ExactTorus, table: IntTable, weight: int, denom: int = 1) -> HPoly:
+def _on_torus(t: ExactTorus, table: IntTable, weight: int) -> HPoly:
     num, den = t.ratio.numerator, t.ratio.denominator
     rows = [num * u + den * v for u, v in zip_longest(*table, fillvalue=0)]
-    return HPoly.of(read(t, rows, weight, denom))
+    return HPoly.of(read(t, rows, weight))
 
 
 def k_as_hpoly(t: ExactTorus) -> HPoly:

@@ -171,18 +171,11 @@ def helfrich_lagrangian(k_c: Fraction, c0: Fraction, w: Fraction, p: Fraction = 
     return Lagrangian.pure_h({2: 2 * k_c, 1: 2 * k_c * c0, 0: Fraction(1, 2) * k_c * c0 * c0 + w}, p)
 
 
-# monomials whose residual tables are kept; a degree-24 family uses fewer
-# than 200
-COLUMN_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=COLUMN_MEMO_SIZE)
 def residual_column(i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Residual of the single density E = H^i K^j at zero pressure, as an
     integer table (U, V) of :mod:`torusvar.h_calculus` of weight i + 2 j + 1:
     on a torus its coefficient of H^p is r^(p - i - 2 j - 1) (U_p + V_p / rho).
-    The table is the same on every torus, so it is built once per process
-    and shared, as tuples.
+    The table is the same on every torus, and :func:`_rows_tables` keeps it.
 
     In x = r H at r = 1, with K = 2 x - 1, dE/dH and dE/dK are integer
     polynomials in x, so lap and div_bar of them are sums of the per-power
@@ -223,9 +216,9 @@ ROWS_MEMO_SIZE = 128
 
 @lru_cache(maxsize=ROWS_MEMO_SIZE)
 def _rows_tables(monomials: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], tuple, tuple]:
-    """The weights and transposed U and V tables of :class:`ResidualRows`
-    for the terms ``monomials`` and the pressure; they depend on no
-    coefficient and no torus, so each set is built once per process."""
+    """The weights and transposed U and V tables of :class:`ResidualRows` for
+    the terms ``monomials`` and the pressure, built once per process: the one
+    memo of residual tables, which depend on no coefficient and no torus."""
     columns = [residual_column(i, j) for i, j in monomials]
     columns.append(((2,), ()))
     size = max(len(part) for column in columns for part in column)

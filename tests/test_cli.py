@@ -745,3 +745,36 @@ def test_each_radius_rule_has_one_message_across_the_commands(capsys, argv, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"torusvar: error: {message}\n"
+
+
+FLOAT_RANGE = "is about 1e400, outside the float range [2.225e-308, 1.798e+308]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--degree", "78", "--with-gauss", "--a2", "3e400", "--r", "1e200"], f"r^2 {FLOAT_RANGE}"),
+        (["verify", "--degree", "2", "--r", "1e200"], f"r^2 {FLOAT_RANGE}"),
+        (["energy", "--degree", "2", "--a2", "1e400"], f"a^2 {FLOAT_RANGE}"),
+        (["scan", "--ratios", "3", "--r", "1e200"], f"r^2 {FLOAT_RANGE}"),
+        (["second-variation", "--degree", "2", "--ratio", "1"], RADIUS_RULE.format(1, 1)),
+        (["energy", "--degree", "2", "--ratio", NEAR_ONE], FLOAT_RULE),
+        # a named torus at r = 0 breaks the radius rule before the solve sees r
+        (["scan", "--ratios", "3", "--r", "0"], RADIUS_RULE.format(0, 0)),
+    ],
+    ids=["verify gauss n=78", "verify r", "energy a2", "scan r", "second-variation ratio", "energy near one", "scan r=0"],
+)
+def test_a_named_torus_and_r_squared_are_checked_before_the_solve(capsys, monkeypatch, argv, message):
+    from torusvar import cli
+
+    def no_solve(*args):
+        raise AssertionError("solved a family before checking the torus")
+
+    for name in ("solve_pure_h", "solve_with_gauss"):
+        monkeypatch.setattr(cli, name, no_solve)
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torusvar: error: {message}\n"

@@ -520,3 +520,19 @@ def test_the_pivot_note_names_the_swaps_from_the_generic_pivots():
     assert len(noted[5]) == 4
     for kterms, ratio in noted[5]:
         assert ratio == 3 and {(1, 1), (2, 1)} <= set(kterms) and not {(0, 2), (1, 2)} & set(kterms)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: family_lagrangian(3, ((1, 0),)), "K terms need K power >= 1, got (1, 0)"),
+        (lambda: family_lagrangian(3, ((1, 1), (1, 1))), "duplicate term (1, 1)"),
+        (lambda: solve_pure_h(1, 1).exact_torus(), "this family has no fixed radii"),
+        (lambda: solve_with_gauss(3, 1, ()), "term set must be nonempty; use solve_pure_h instead"),
+        (lambda: solve_with_gauss(1, 1), "K-augmented families need degree >= 2"),
+    ],
+    ids=["K power 0", "duplicate term", "no fixed radii", "empty term set", "degree 1 with K"],
+)
+def test_each_bad_family_request_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -190,6 +190,12 @@ def test_second_variation_rejects_k_dependence():
         second_variation(t, Lagrangian({(2, 0): 1, (1, 1): 1}), 0.0, Perturbation({1: 1.0}))
 
 
+def test_second_variation_rejects_a_negative_v_mode():
+    lag, rho = zero_pressure_member(2)
+    with pytest.raises(ValueError, match="^v_mode must be nonnegative$"):
+        second_variation(TorusShape.from_ratio(rho, 1), lag, 0.0, Perturbation({1: 1.0}), v_mode=-1)
+
+
 def test_second_variation_azimuthal_mode_extension():
     lag, rho = zero_pressure_member(2)
     t = TorusShape.from_ratio(rho, 1)

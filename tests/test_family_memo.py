@@ -1,5 +1,5 @@
-"""The per-process memos of the exact path: the residual table of each
-monomial and of each monomial set, the operator table of each power of H,
+"""The per-process memos of the exact path: the residual tables of each
+monomial set, the operator table of each power of H,
 each family's rows, each constraint family's ratio and its reduction there,
 and each family's reduction over Z[rho].  Nothing is kept per ratio.  A memo
 may change how fast a solve runs, never what it returns."""
@@ -21,7 +21,7 @@ from torusvar.critical_solver import (
     verify_solution,
 )
 from torusvar.exact_algebra import LinearForm
-from torusvar.shape_equation import Lagrangian, ResidualRows, residual_column
+from torusvar.shape_equation import Lagrangian, ResidualRows
 
 from oracles import evaluate
 
@@ -45,7 +45,6 @@ def clear_memos():
     critical_solver._family.cache_clear()
     critical_solver._constrained.cache_clear()
     critical_solver._pencil.cache_clear()
-    residual_column.cache_clear()
     shape_equation._rows_tables.cache_clear()
     h_calculus.power_table.cache_clear()
 
@@ -124,15 +123,18 @@ def test_editing_a_report_changes_no_later_solve(solve):
 
 def test_residual_tables_are_immutable_and_built_once():
     clear_memos()
-    u, v = residual_column(3, 2)
+    rows = ResidualRows.of(Lagrangian({(3, 2): 1, (1, 0): 2}))
+    u, v = rows.u[0], rows.v[0]
     assert isinstance(u, tuple) and isinstance(v, tuple)
-    assert all(type(x) is int for x in (*u, *v))
+    assert all(type(x) is int for part in (rows.u, rows.v) for row in part for x in row)
     with pytest.raises(TypeError):
         u[0] = 0
     with pytest.raises(AttributeError):
         v.append(0)
-    assert residual_column(3, 2) is residual_column(3, 2)
-    assert residual_column.cache_info().hits >= 2
+    again = ResidualRows.of(Lagrangian({(3, 2): 5, (1, 0): 7}))
+    assert (again.weights, again.u, again.v) == (rows.weights, rows.u, rows.v)
+    assert again.u is rows.u and again.v is rows.v
+    assert shape_equation._rows_tables.cache_info().hits == 1
 
 
 def test_a_family_without_a_ratio_raises_every_time_and_keeps_nothing_half_built():
@@ -161,8 +163,6 @@ def test_the_family_memo_has_a_constant_bound():
     assert type(size) is int and critical_solver._family.cache_info().maxsize == size
     assert critical_solver._constrained.cache_info().maxsize == size
     assert critical_solver._pencil.cache_info().maxsize == size
-    assert type(shape_equation.COLUMN_MEMO_SIZE) is int
-    assert residual_column.cache_info().maxsize == shape_equation.COLUMN_MEMO_SIZE
     # more distinct families than the bound leave the memo at the bound
     clear_memos()
     subsets = [s for k in range(1, 5) for s in combinations(theorem_kterms(6), k)]
@@ -216,7 +216,7 @@ def test_every_memo_is_bounded_by_a_named_constant_the_readme_gives():
                 assert name.endswith("_MEMO_SIZE") and name in constants, where
                 assert f"`{name} = {constants[name]}`" in readme, where
                 bounded.append(name)
-    assert {"COLUMN_MEMO_SIZE", "ROWS_MEMO_SIZE", "POWER_MEMO_SIZE", "FAMILY_MEMO_SIZE", "GRID_MEMO_SIZE"} <= set(bounded)
+    assert {"ROWS_MEMO_SIZE", "POWER_MEMO_SIZE", "FAMILY_MEMO_SIZE", "GRID_MEMO_SIZE"} <= set(bounded)
 
 
 def test_each_table_memo_stops_at_its_constant():

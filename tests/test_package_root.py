@@ -5,6 +5,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,18 @@ IMPORT_SYSTEM = {
 }
 
 SUBMODULES = {path.stem for path in (ROOT / "src" / "torusvar").glob("*.py")} - {"__init__"}
+
+
+def test_one_version_in_the_project_the_package_and_the_golden_reports():
+    # a regex, not tomllib, so that the test also runs on Python 3.10
+    project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1].split("\n[", 1)[0]
+    versions = re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert versions == [torusvar.__version__]
+    golden = sorted((ROOT / "tests" / "solve_golden").glob("*.json"))
+    assert len(golden) == 18
+    assert {path.name: json.loads(path.read_text())["version"] for path in golden} == dict.fromkeys(
+        (path.name for path in golden), torusvar.__version__
+    )
 
 
 def test_the_root_binds_only_the_version():

@@ -94,8 +94,8 @@ def test_curvature_energy_samples_its_torus_once(monkeypatch):
 def test_energy_error_estimate_is_the_half_grid_change_of_the_reference(degree, ratio, n, capsys):
     assert cli.main(["energy", "--degree", str(degree), "--ratio", ratio, "--r", "3/2", "--grid", str(n)]) == 0
     text = capsys.readouterr().out
-    lagrangian, _, rho = cli._family_member(degree, Fraction(3, 2), Fraction(ratio))
-    shape = TorusShape.from_ratio(rho, Fraction(3, 2))
+    lagrangian, _ = cli._family_member(degree, Fraction(3, 2))
+    shape = TorusShape.from_ratio(Fraction(ratio), Fraction(3, 2))
     change = abs(ref_curvature_energy(shape, lagrangian, 0.0, n)[0] - ref_curvature_energy(shape, lagrangian, 0.0, n // 2)[0])
     assert f"grid: {n}\nquadrature error estimate: {change:.15g}\n" in text
 
