@@ -22,8 +22,8 @@ import sys
 from fractions import Fraction
 
 # numpy, torus_geometry and energetics are imported inside the numeric
-# commands, so solve, --help and --version run without numpy (the module
-# docstring above is also the --help text)
+# commands after their last check, so solve, --help, --version and every bad
+# input run without numpy (the module docstring above is also the --help text)
 from . import __version__, critical_solver, h_calculus
 from .critical_solver import (
     SolutionReport,
@@ -46,6 +46,10 @@ MAX_FAMILY_CELLS = 2**17
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # -1/2, -1e200 and -2,3 are values, as argparse reads -12 and -1.5
+        return None if re.match(r"-[\d.]", arg_string) else super()._parse_optional(arg_string)
+
     def error(self, message):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
@@ -109,33 +113,25 @@ def _non_finite(value, path: str = "") -> list[str]:
     return [bad for key, item in items for bad in _non_finite(item, f"{path}.{key}" if path else str(key))]
 
 
-def _named_tori(r: Fraction, a2s: list[Fraction]) -> list[ExactTorus]:
-    """The tori at r and each a^2 in ``a2s`` that the command line names, each
-    built and put through :meth:`ExactTorus.to_shape` in turn, before any
-    solve; with none named, r^2 alone is checked."""
-    tori = []
-    for a2 in a2s:
-        tori.append(ExactTorus(a2, r))
-        tori[-1].to_shape()
-    if not tori:
+def _named_tori(r: Fraction, a2s: list[Fraction]) -> list[tuple[ExactTorus, TorusShape]]:
+    """The one way a numeric command's torus becomes floats: the torus at r and
+    each a^2 in ``a2s``, built and put through :meth:`ExactTorus.to_shape` in
+    turn, with its float shape; with none named, r^2 alone is checked."""
+    if not a2s:
         h_calculus.check_float_range("r^2", r * r)
-    return tori
+    return [(torus, torus.to_shape()) for torus in (ExactTorus(a2, r) for a2 in a2s)]
 
 
-def _tori(args, tori: list[ExactTorus], member: Lagrangian) -> tuple[list[TorusShape], dict]:
-    """Each of ``tori`` through :meth:`ExactTorus.to_shape`, then every
-    coefficient of the evaluated ``member``, its pressure included, checked
-    0 or a normal float; returns the float tori and the JSON diagnostics block
-    of the one grid rule: --grid if given, else the finest ``suggest_grid``."""
-    shapes = [t.to_shape() for t in tori]
+def _grid(args, shapes: list[TorusShape], member: Lagrangian) -> dict:
+    """Every coefficient of the evaluated ``member``, its pressure included,
+    checked 0 or a normal float; returns the JSON diagnostics block of the one
+    grid rule: --grid if given, else the finest ``suggest_grid`` of ``shapes``."""
     values = [(f"the coefficient of H^{i} K^{j}", c) for (i, j), c in member.terms.items()]
     for name, value in [*values, ("the pressure", member.pressure)]:
         h_calculus.check_float_range(name, value, " of the numeric commands")
-    from . import torus_geometry
-
     if args.grid is not None:
-        return shapes, {"grid": args.grid, "grid_source": "--grid"}
-    return shapes, {"grid": max(map(torus_geometry.suggest_grid, shapes)), "grid_source": "suggest_grid"}
+        return {"grid": args.grid, "grid_source": "--grid"}
+    return {"grid": max(map(h_calculus.suggest_grid, shapes)), "grid_source": "suggest_grid"}
 
 
 def _quiet_floats():
@@ -300,18 +296,20 @@ def _default_free_values(report: SolutionReport) -> dict[str, Fraction]:
     return {name: Fraction(int(name == "a1")) for name in report.free_parameters}
 
 
-def _family_torus(report: SolutionReport) -> ExactTorus:
-    """The torus a solved family is evaluated at: its own, else a^2 = 2 r^2
-    for a family that is critical at every ratio."""
-    return ExactTorus(2 * report.r**2 if report.a2 is None else report.a2, report.r)
+def _family_torus(report: SolutionReport) -> tuple[ExactTorus, TorusShape]:
+    """The torus a solved family is evaluated at, with its float shape: its
+    own, else a^2 = 2 r^2 for a family that is critical at every ratio."""
+    return _named_tori(report.r, [2 * report.r**2 if report.a2 is None else report.a2])[0]
 
 
 def cmd_verify(args) -> int:
-    _named_tori(parse_fraction(args.r), [parse_fraction(args.a2)] if args.with_gauss and args.a2 is not None else [])
+    r = parse_fraction(args.r)
+    named = _named_tori(r, [parse_fraction(args.a2)] if args.with_gauss and args.a2 is not None else [])
     report = _solve_from_args(args)
-    torus = _family_torus(report)
+    # a family solved at the torus --a2 names is evaluated there
+    torus, shape = named[0] if named else _family_torus(report)
     values = _default_free_values(report)
-    _, diagnostics = _tori(args, [torus], report.lagrangian_at(values))
+    diagnostics = _grid(args, [shape], report.lagrangian_at(values))
     with _quiet_floats():
         result = verify_solution(torus, report, values, diagnostics["grid"])
     ok = result.exact and result.numeric_relative < args.tolerance
@@ -344,15 +342,15 @@ def _family_member(degree: int, r: Fraction) -> tuple[Lagrangian, SolutionReport
 
 
 def cmd_energy(args) -> int:
-    from .energetics import curvature_energy
-
     r = parse_fraction(args.r)
     a2 = _exact(args.a2) if args.ratio is None else parse_fraction(args.ratio) * r * r
     named = _named_tori(r, [] if a2 is None else [a2])
     lagrangian, family = _family_member(args.degree, r)
-    (torus,) = named or [_family_torus(family)]
-    (t,), diagnostics = _tori(args, [torus], lagrangian)
+    torus, t = named[0] if named else _family_torus(family)
+    diagnostics = _grid(args, [t], lagrangian)
     grid = diagnostics["grid"]
+    from .energetics import curvature_energy
+
     with _quiet_floats():
         report = curvature_energy(t, lagrangian, lagrangian.pressure, grid)
         coarse = curvature_energy(t, lagrangian, n=grid // 2).area_term
@@ -419,8 +417,9 @@ def _identity_checks(torus: ExactTorus, shape: TorusShape, n: int) -> list[tuple
 
 
 def cmd_identities(args) -> int:
-    torus = ExactTorus(parse_fraction(args.a2), parse_fraction(args.r))
-    (shape,), diagnostics = _tori(args, [torus], Lagrangian())
+    a2 = parse_fraction(args.a2)
+    ((torus, shape),) = _named_tori(parse_fraction(args.r), [a2])
+    diagnostics = _grid(args, [shape], Lagrangian())
     with _quiet_floats():
         checks = _identity_checks(torus, shape, diagnostics["grid"])
     lines = []
@@ -437,18 +436,18 @@ def cmd_identities(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .energetics import curvature_energy
-
     r = parse_fraction(args.r)
     ratios = [] if args.ratios is None else _parse_list(args.ratios, "--ratios", parse_fraction)
     tori = _named_tori(r, [rho * r * r for rho in ratios])
     lagrangian, _ = _family_member(args.degree, r)
-    tori = tori or [ExactTorus(Fraction(num, 20) * r * r, r) for num in range(24, 81, 4)]
-    shapes, diagnostics = _tori(args, tori, lagrangian)
+    tori = tori or _named_tori(r, [Fraction(num, 20) * r * r for num in range(24, 81, 4)])
+    diagnostics = _grid(args, [t for _, t in tori], lagrangian)
+    from .energetics import curvature_energy
+
     with _quiet_floats():
         rows = [
             (torus.ratio, curvature_energy(t, lagrangian, lagrangian.pressure, diagnostics["grid"]).total)
-            for torus, t in zip(tori, shapes)
+            for torus, t in tori
         ]
     lines = [f"{'a^2/r^2':<12} energy/a1"]
     for rho, value in rows:
@@ -479,21 +478,21 @@ def _parse_mode(token: str) -> tuple[str, int, float]:
 
 
 def cmd_second_variation(args) -> int:
-    from .energetics import Perturbation, second_variation
-
     modes: dict[str, dict[int, float]] = {"cos": {}, "sin": {}}
     for kind, index, amplitude in _parse_list(args.modes, "--modes", _parse_mode, key=lambda m: m[:2]):
         modes[kind][index] = amplitude
-    omega = Perturbation(modes["cos"], modes["sin"])
     r = parse_fraction(args.r)
     named = _named_tori(r, [] if args.ratio is None else [parse_fraction(args.ratio) * r * r])
     lagrangian, family = _family_member(args.degree, r)
-    (torus,) = named or [_family_torus(family)]
-    (t,), diagnostics = _tori(args, [torus], lagrangian)
+    torus, t = named[0] if named else _family_torus(family)
+    diagnostics = _grid(args, [t], lagrangian)
     grid = diagnostics["grid"]
     top = max((*modes["cos"], *modes["sin"]))
     if top >= grid // 4:
         raise ValueError(f"--modes: mode {top} is not below grid/4 = {grid // 4}, the Nyquist mode of grid/2")
+    from .energetics import Perturbation, second_variation
+
+    omega = Perturbation(modes["cos"], modes["sin"])
     with _quiet_floats():
         value = second_variation(t, lagrangian, lagrangian.pressure, omega, grid)
         coarse = second_variation(t, lagrangian, lagrangian.pressure, omega, grid // 2)

@@ -31,9 +31,9 @@ constrained tori have irrational a).
 
 Every torus built from exact radii goes through :class:`ExactTorus`, the one
 check of the rule a^2 > r^2 > 0 on exact values.  The float torus
-:class:`TorusShape` and the grid constants ``DEFAULT_GRID`` and ``MAX_GRID``
-are defined here too, beside :class:`ExactTorus`, so that the exact path
-(solve, the closed forms, the residual columns) never loads numpy;
+:class:`TorusShape`, the grid constants ``DEFAULT_GRID`` and ``MAX_GRID``
+and the grid rule :func:`suggest_grid` live here too, so that the exact
+path and every check of the numeric commands run without numpy;
 :mod:`torusvar.torus_geometry` re-exports them.
 """
 
@@ -84,6 +84,28 @@ DEFAULT_GRID = 256
 # largest grid suggest_grid returns (512 KiB per float field); aspect ratios
 # that need more are rejected rather than left to allocate GB-sized grids
 MAX_GRID = 65536
+
+
+def suggest_grid(t: TorusShape) -> int:
+    """Grid size that resolves this torus's curvature fields spectrally.
+
+    Fields on the torus are analytic with Fourier modes decaying like q**k,
+    q = r / (a + sqrt(a^2 - r^2)); aspect ratios close to 1 decay slowly and
+    need more than the default grid.  The residual applies two derivatives,
+    which multiply mode k by k**2, so this returns the smallest power-of-two
+    multiple of ``DEFAULT_GRID`` whose Nyquist mode k = N/2 has k**2 q**k
+    below 1e-14.  A torus that needs more than ``MAX_GRID`` points raises
+    ValueError before any grid is allocated.
+    """
+    s = t.a / t.r
+    q = 1.0 / (s + math.sqrt(s * s - 1.0))
+    n = DEFAULT_GRID
+    while (n / 2) ** 2 * q ** (n / 2) >= 1e-14:
+        n *= 2
+    if n > MAX_GRID:
+        ratio = t.a2 / t.r2 if t.a2 is not None else t.ratio
+        raise ValueError(f"a^2/r^2 = {ratio} needs a grid of {n} points, above the cap of {MAX_GRID}")
+    return n
 
 
 # the normal float range as exact bounds, so that a check converts no float

@@ -21,7 +21,8 @@ here by spectral (trigonometric-interpolation) differentiation:
 
 The grid operators in this module are deliberately independent of the
 closed-form polynomial identities in :mod:`torusvar.h_calculus`; they are the
-oracle those identities are tested against.
+oracle those identities are tested against.  The float torus, the grid
+constants and :func:`suggest_grid` need no numpy: they are defined there.
 
 The tables of a grid, the nodes u, cos u and the derivative multiplier
 i k, depend on the grid size alone; :func:`grid_tables` builds them once per
@@ -55,8 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the float torus and the grid constants live on the numpy-free side
-from .h_calculus import DEFAULT_GRID, MAX_GRID, TorusShape
+from .h_calculus import DEFAULT_GRID, MAX_GRID, TorusShape, suggest_grid
 
 __all__ = [
     "TorusShape",
@@ -108,28 +108,6 @@ def grid_tables(n: int) -> GridTables:
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def suggest_grid(t: TorusShape) -> int:
-    """Grid size that resolves this torus's curvature fields spectrally.
-
-    Fields on the torus are analytic with Fourier modes decaying like q**k,
-    q = r / (a + sqrt(a^2 - r^2)); aspect ratios close to 1 decay slowly and
-    need more than the default grid.  The residual applies two derivatives,
-    which multiply mode k by k**2, so this returns the smallest power-of-two
-    multiple of ``DEFAULT_GRID`` whose Nyquist mode k = N/2 has k**2 q**k
-    below 1e-14.  A torus that needs more than ``MAX_GRID`` points raises
-    ValueError before any grid is allocated.
-    """
-    s = t.a / t.r
-    q = 1.0 / (s + math.sqrt(s * s - 1.0))
-    n = DEFAULT_GRID
-    while (n / 2) ** 2 * q ** (n / 2) >= 1e-14:
-        n *= 2
-    if n > MAX_GRID:
-        ratio = t.a2 / t.r2 if t.a2 is not None else t.ratio
-        raise ValueError(f"a^2/r^2 = {ratio} needs a grid of {n} points, above the cap of {MAX_GRID}")
-    return n
 
 
 def _curvatures(t: TorusShape, cos_u, w):

@@ -778,3 +778,63 @@ def test_a_named_torus_and_r_squared_are_checked_before_the_solve(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"torusvar: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--degree", "3", "--r", "-1/2"], "need r > 0, got r=-1/2"),
+        (["energy", "--degree", "2", "--r", "-1e200"], f"r^2 {FLOAT_RANGE}"),
+        (["energy", "--degree", "2", "--ratio", "-2e3"], RADIUS_RULE.format(-2000, 1)),
+        (["energy", "--degree", "2", "--a2", "-1e5"], RADIUS_RULE.format(-100000, 1)),
+        (["scan", "--degree", "2", "--ratios", "-2,3"], RADIUS_RULE.format(-2, 1)),
+        (["verify", "--degree", "6", "--tolerance", "-1e-8"], "--tolerance must be a finite number > 0, got -1e-08"),
+    ],
+    ids=["solve r", "energy r", "energy ratio", "energy a2", "scan ratios", "verify tolerance"],
+)
+def test_a_negative_value_reaches_its_check(capsys, argv, message):
+    # argparse alone reads only -12 and -1.5 as values, and took -1/2,
+    # -1e200 or -2,3 for an option name: "argument --r: expected one argument"
+    *head, option, value = argv
+    for form in (argv, [*head, f"{option}={value}"]):
+        assert main(form) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"torusvar: error: {message}\n"
+
+
+def test_an_option_name_after_an_option_is_still_a_missing_value(capsys):
+    assert main(["verify", "--degree", "6", "--r", "-x"]) == 4
+    assert capsys.readouterr().err == "torusvar verify: error: argument --r: expected one argument\n"
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["energy", "--degree", "2", "--ratio", "3"], {"cli": 1}),
+        (["energy", "--degree", "2", "--a2", "3"], {"cli": 1}),
+        (["energy", "--degree", "2"], {"cli": 1}),
+        (["second-variation", "--degree", "2", "--ratio", "3"], {"cli": 1}),
+        (["second-variation", "--degree", "2"], {"cli": 1}),
+        (["scan", "--ratios", "2,3,4"], {"cli": 3}),
+        (["scan"], {"cli": 15}),
+        (["identities", "--a2", "2"], {"cli": 1}),
+        (["verify", "--degree", "3"], {"cli": 1, "critical_solver": 1}),
+        (["verify", "--degree", "4", "--with-gauss", "--a2", "3"], {"cli": 1, "critical_solver": 1}),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else ",".join(f"{k}={n}" for k, n in value.items()),
+)
+def test_each_torus_becomes_floats_once(capsys, monkeypatch, argv, calls):
+    # counted by the calling module; verify_solution converts its own torus
+    counted = {}
+    to_shape = ExactTorus.to_shape
+
+    def counting(self):
+        caller = sys._getframe(1).f_globals["__name__"].removeprefix("torusvar.")
+        counted[caller] = counted.get(caller, 0) + 1
+        return to_shape(self)
+
+    monkeypatch.setattr(ExactTorus, "to_shape", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counted == calls

@@ -1,8 +1,9 @@
 """The exact path never loads numpy, ``dataclasses`` or ``inspect``.
 
-``import torusvar``, the README ``solve`` examples, ``--help``, ``--version``
-and the options rejected before any work run without numpy,
-``torusvar.torus_geometry`` or ``torusvar.energetics``.  Each check runs in a
+``import torusvar``, the README ``solve`` examples, ``--help``, ``--version``,
+the options rejected before any work and a numeric command's bad torus,
+coefficient or mode run without numpy, ``torusvar.torus_geometry`` or
+``torusvar.energetics``.  Each check runs in a
 fresh interpreter, so the imports of other tests do not count; the numeric
 commands, run the same way, do load numpy, so the probe is not vacuous.
 The same steps add neither ``dataclasses`` nor ``inspect`` to the modules
@@ -85,6 +86,37 @@ def test_the_exact_path_loads_no_numeric_module():
     # with their messages before numpy is needed
     assert report[-3]["err"] == "torusvar: error: unrecognized arguments: --grid 64\n"
     assert report[-2]["err"] == "torusvar: error: --grid must be at most 65536, got 131072\n"
+
+
+NUMERIC = ("energy", "scan", "second-variation", "verify")
+RADIUS_RULE = "need a^2 > r^2 and r > 0, got a^2=1, r=1"
+R_SQUARED = "r^2 is about 1e400, outside the float range [2.225e-308, 1.798e+308]"
+COEFFICIENT = (
+    "the coefficient of H^10 K^0 is about 1e319, outside the float range [2.225e-308, 1.798e+308] "
+    "of the numeric commands"
+)
+
+
+def test_bad_input_to_the_numeric_commands_loads_no_numeric_module():
+    # every radius, ratio, coefficient and mode check runs before numpy loads
+    steps = [
+        (["energy", "--degree", "2", "--ratio", "1"], RADIUS_RULE),
+        (["scan", "--ratios", "1"], RADIUS_RULE),
+        (["second-variation", "--degree", "2", "--ratio", "1"], RADIUS_RULE),
+        (["verify", "--degree", "4", "--with-gauss", "--a2", "1"], RADIUS_RULE),
+        *(([command, "--degree", "2", "--r", "1e200"], R_SQUARED) for command in NUMERIC),
+        *(([command, "--degree", "24", "--r", "1e-20"], COEFFICIENT) for command in NUMERIC),
+        (
+            ["second-variation", "--degree", "2", "--modes", "cos64=1"],
+            "--modes: mode 64 is not below grid/4 = 64, the Nyquist mode of grid/2",
+        ),
+    ]
+    report = probe(*(argv for argv, _ in steps))
+    for step, (argv, message) in zip(report[1:], steps, strict=True):
+        assert step["step"] == argv
+        assert (step["code"], step["err"]) == (4, f"torusvar: error: {message}\n"), argv
+        assert step["loaded"] == [], argv
+        assert step["added"] == [], argv
 
 
 @pytest.mark.parametrize(

@@ -26,10 +26,10 @@ MODULE_ONLY = {
     "exact_algebra": ("HPoly", "LinearForm", "solve_linear_system"),
     "h_calculus": (
         "ExactTorus", "TorusShape", "divbar_bilinear", "divbar_h", "divbar_k", "divbar_poly",
-        "grad_h_squared", "k_as_hpoly", "laplacian_h", "laplacian_poly",
+        "grad_h_squared", "k_as_hpoly", "laplacian_h", "laplacian_poly", "suggest_grid",
     ),
     "shape_equation": ("Lagrangian", "el_residual", "el_system", "helfrich_lagrangian", "sphere_residual"),
-    "torus_geometry": ("AreaVolume", "area_volume", "curvatures", "divbar_numeric", "lb_numeric", "suggest_grid"),
+    "torus_geometry": ("AreaVolume", "area_volume", "curvatures", "divbar_numeric", "lb_numeric"),
 }
 
 # what the import system binds on a package: its dunders, and each submodule
